@@ -1,4 +1,5 @@
-// Ablations of the run-time engine's design choices (DESIGN.md §5).
+// Ablations of the run-time engine's design choices
+// (src/engine/run_time_engine.hpp).
 //
 // Three decisions the reproduction makes are measured by turning each
 // off (or simulating its absence):
@@ -116,7 +117,7 @@ BENCHMARK(BM_A3_BatchIntake);
 
 void PrintSeries() {
   benchutil::PrintHeader(
-      "Ablations: engine design choices", "DESIGN.md section 5",
+      "Ablations: engine design choices", "src/engine/run_time_engine.hpp",
       "A1 journal of propagated deliveries, A2 idempotent link "
       "registration, A3 intake mode.");
 

@@ -356,10 +356,8 @@ void PrintShardedSeries() {
 /// A deliberately boundary-heavy design: `hubs` hub blocks, each with
 /// `degree` derive links to single-block spoke subtrees dealt
 /// round-robin across the shards — so a hub wave's foreign receivers
-/// interleave across every shard with run length ~1, the worst case
-/// for the PR-4 consecutive-run handoff (one sub-wave task per
-/// receiver) and the best case for per-(epoch, shard) batching (one
-/// task per shard).
+/// interleave across every shard with run length ~1, and per-(epoch,
+/// shard) batching aggregates them into one task per foreign shard.
 struct BoundaryDesign {
   metadb::MetaDatabase db;
   SimClock clock;
@@ -369,12 +367,10 @@ struct BoundaryDesign {
 };
 
 std::unique_ptr<BoundaryDesign> MakeBoundaryDesign(int hubs, int degree,
-                                                   uint32_t shards,
-                                                   bool batched) {
+                                                   uint32_t shards) {
   auto design = std::make_unique<BoundaryDesign>();
   engine::ShardedEngineOptions options;
   options.num_shards = shards;
-  options.batched_handoff = batched;
   options.engine.journal_propagated = false;
   design->engine = std::make_unique<engine::ShardedEngine>(
       design->db, design->clock, options);
@@ -420,61 +416,45 @@ void DeliverBoundaryRound(BoundaryDesign& design) {
 
 void PrintBatchedHandoffSeries() {
   benchutil::PrintHeader(
-      "Batched cross-shard handoff: aggregated vs per-run sub-waves",
+      "Batched cross-shard handoff on a boundary-heavy workload",
       "per-(epoch, target shard) seed batching + lane stealing, "
       "src/engine/sharded_engine.hpp",
       "Hub waves whose foreign receivers interleave across every shard "
-      "(run length ~1).\nUnbatched posts one sub-wave task per receiver "
-      "run; batched posts one aggregated\ntask per (wave, target shard), "
-      "amortizing ring traffic and claim rounds.");
+      "(run length ~1);\neach wave posts one aggregated task per (wave, "
+      "target shard).");
 
-  // The Release CI job HARD-GATES on batched_s8 > unbatched_s8 from
-  // the smoke run, so the smoke sample is kept deliberately larger
-  // than the other series' (the measured gap is ~1.4-3x; 30 rounds on
-  // this small design still finish in a few ms and keep one scheduler
-  // hiccup from inverting the ratio on a shared runner).
   const int hubs = benchutil::SeriesScale(8, 4);
   const int degree = benchutil::SeriesScale(256, 48);
   const int rounds = benchutil::SeriesScale(150, 30);
   const int warmup = benchutil::SeriesScale(15, 3);
 
-  std::printf("%-10s %-12s %-16s %-22s %-14s %-12s\n", "shards", "mode",
-              "us/round", "deliveries/sec", "handoff", "batched/un");
+  std::printf("%-10s %-16s %-22s %-14s\n", "shards", "us/round",
+              "deliveries/sec", "handoff");
   for (const uint32_t shards : {2u, 4u, 8u}) {
-    double rates[2] = {0.0, 0.0};
-    size_t handoffs[2] = {0, 0};
-    for (const bool batched : {false, true}) {
-      auto design = MakeBoundaryDesign(hubs, degree, shards, batched);
-      for (int i = 0; i < warmup; ++i) DeliverBoundaryRound(*design);
-      design->engine->ResetStats();
-      const auto start = std::chrono::steady_clock::now();
-      for (int i = 0; i < rounds; ++i) DeliverBoundaryRound(*design);
-      const auto elapsed = std::chrono::steady_clock::now() - start;
-      const double us_per_round =
-          std::chrono::duration<double, std::micro>(elapsed).count() / rounds;
-      const double rate =
-          us_per_round > 0.0
-              ? static_cast<double>(design->deliveries_per_round) * 1e6 /
-                    us_per_round
-              : 0.0;
-      rates[batched ? 1 : 0] = rate;
-      handoffs[batched ? 1 : 0] =
-          design->engine->stats().handoff_waves / static_cast<size_t>(rounds);
-      benchutil::AddBenchJson(
-          std::string("wave_sharded_") + (batched ? "batched" : "unbatched") +
-              "_s" + std::to_string(shards),
-          us_per_round * 1e3, rate);
-      std::printf("%-10u %-12s %-16.1f %-22.0f %-14zu %-12s\n", shards,
-                  batched ? "batched" : "unbatched", us_per_round, rate,
-                  handoffs[batched ? 1 : 0], "");
-    }
-    std::printf("%-10u %-12s %-16s %-22s %-14s %-12.2f\n", shards, "ratio",
-                "", "", "", rates[0] > 0.0 ? rates[1] / rates[0] : 0.0);
+    auto design = MakeBoundaryDesign(hubs, degree, shards);
+    for (int i = 0; i < warmup; ++i) DeliverBoundaryRound(*design);
+    design->engine->ResetStats();
+    const auto start = std::chrono::steady_clock::now();
+    for (int i = 0; i < rounds; ++i) DeliverBoundaryRound(*design);
+    const auto elapsed = std::chrono::steady_clock::now() - start;
+    const double us_per_round =
+        std::chrono::duration<double, std::micro>(elapsed).count() / rounds;
+    const double rate =
+        us_per_round > 0.0
+            ? static_cast<double>(design->deliveries_per_round) * 1e6 /
+                  us_per_round
+            : 0.0;
+    const size_t handoffs =
+        design->engine->stats().handoff_waves / static_cast<size_t>(rounds);
+    benchutil::AddBenchJson(
+        "wave_sharded_batched_s" + std::to_string(shards),
+        us_per_round * 1e3, rate);
+    std::printf("%-10u %-16.1f %-22.0f %-14zu\n", shards, us_per_round, rate,
+                handoffs);
   }
   std::printf(
-      "\nExpected shape: batched posts ~(shards-1) sub-wave tasks per hub "
-      "wave instead of\n~degree, so deliveries/sec should hold a >=1.2x "
-      "lead at 8 shards on this workload.\n\n");
+      "\nExpected shape: ~(shards-1) sub-wave tasks per hub wave, not "
+      "~degree.\n\n");
 }
 
 }  // namespace

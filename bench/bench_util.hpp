@@ -1,7 +1,7 @@
 // Shared helpers for the benchmark harness.
 //
 // Every bench regenerates one figure or quantified claim of the paper
-// (see DESIGN.md §4 and EXPERIMENTS.md). Benches print their series as
+// (README.md "Benchmarks"). Benches print their series as
 // aligned text tables — the "rows the paper reports" — and then run
 // google-benchmark timings where wall-clock numbers matter.
 #pragma once

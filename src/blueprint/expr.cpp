@@ -81,21 +81,35 @@ void Expr::CollectVariables(std::vector<std::string>& names) const {
 }
 
 std::string Expr::ToSource() const {
+  // Appends, not `"(" + temporary`: gcc 12 flags that operator+ with a
+  // false -Werror=restrict at -O3.
+  const auto infix = [this](const char* op) {
+    std::string text = "(";
+    text += lhs_->ToSource();
+    text += op;
+    text += rhs_->ToSource();
+    text += ')';
+    return text;
+  };
   switch (kind_) {
     case Kind::kLiteral:
       return IsIdentifier(text_) ? text_ : QuoteString(text_);
     case Kind::kVar:
       return "$" + text_;
     case Kind::kEq:
-      return "(" + lhs_->ToSource() + " == " + rhs_->ToSource() + ")";
+      return infix(" == ");
     case Kind::kNe:
-      return "(" + lhs_->ToSource() + " != " + rhs_->ToSource() + ")";
+      return infix(" != ");
     case Kind::kAnd:
-      return "(" + lhs_->ToSource() + " and " + rhs_->ToSource() + ")";
+      return infix(" and ");
     case Kind::kOr:
-      return "(" + lhs_->ToSource() + " or " + rhs_->ToSource() + ")";
-    case Kind::kNot:
-      return "(not " + lhs_->ToSource() + ")";
+      return infix(" or ");
+    case Kind::kNot: {
+      std::string text = "(not ";
+      text += lhs_->ToSource();
+      text += ')';
+      return text;
+    }
   }
   return "<corrupt>";
 }

@@ -44,21 +44,26 @@ std::string FormatAction(const Action& action) {
       return assign.property + " = " + FormatTemplateValue(assign.value);
     }
     std::string operator()(const ActionExec& exec) const {
-      std::string text = "exec " + FormatTemplateValue(exec.script);
+      std::string text = "exec ";
+      text += FormatTemplateValue(exec.script);
       for (const StringTemplate& arg : exec.args) {
-        text += " " + FormatTemplateValue(arg);
+        text += ' ';
+        text += FormatTemplateValue(arg);
       }
       return text;
     }
     std::string operator()(const ActionNotify& notify) const {
-      return "notify " + FormatTemplateValue(notify.message);
+      std::string text = "notify ";
+      text += FormatTemplateValue(notify.message);
+      return text;
     }
     std::string operator()(const ActionPost& post) const {
       std::string text = "post " + post.event + " " +
                          events::DirectionName(post.direction);
       if (!post.to_view.empty()) text += " to " + post.to_view;
       if (!post.arg.source().empty()) {
-        text += " " + FormatTemplateValue(post.arg);
+        text += ' ';
+        text += FormatTemplateValue(post.arg);
       }
       return text;
     }

@@ -54,7 +54,8 @@ StringTemplate StringTemplate::Parse(std::string_view text) {
 
 StringTemplate StringTemplate::Variable(std::string_view name) {
   StringTemplate result;
-  result.source_ = "$" + std::string(name);
+  result.source_ += '$';
+  result.source_ += name;
   result.pieces_.push_back(Piece{true, std::string(name)});
   return result;
 }

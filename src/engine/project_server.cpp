@@ -67,24 +67,16 @@ ProjectServer::ProjectServer(std::string project_name, ServerOptions options)
     db_.EnableDirtyTracking();
   }
 
-  if (options_.num_shards > 1) {
-    ShardedEngineOptions sharded;
-    sharded.num_shards = options_.num_shards;
-    sharded.deterministic = options_.deterministic_shards;
-    sharded.engine = options_.engine;
-    sharded_ = std::make_unique<ShardedEngine>(db_, clock_, sharded);
-  } else {
-    engine_ = std::make_unique<RunTimeEngine>(db_, clock_, options_.engine);
-  }
+  ShardedEngineOptions sharded;
+  sharded.num_shards = options_.num_shards;
+  sharded.deterministic = options_.deterministic_shards;
+  sharded.engine = options_.engine;
+  sharded_ = std::make_unique<ShardedEngine>(db_, clock_, sharded);
   // The observer hook: DAMOCLES watches the repository, designers never
   // talk to the tracking system directly.
   workspace_.AddObserver([this](const metadb::WorkspaceNotification& note) {
     if (note.action != metadb::WorkspaceAction::kCheckIn) return;
-    if (sharded_ != nullptr) {
-      sharded_->OnCreateObject(note.oid.block, note.oid.view, note.user);
-    } else {
-      engine_->OnCreateObject(note.oid.block, note.oid.view, note.user);
-    }
+    sharded_->OnCreateObject(note.oid.block, note.oid.view, note.user);
     events::EventMessage event;
     event.name = "ckin";
     event.direction = options_.checkin_direction;
@@ -92,7 +84,7 @@ ProjectServer::ProjectServer(std::string project_name, ServerOptions options)
     event.user = note.user;
     event.timestamp = note.timestamp;
     event.origin = events::EventOrigin::kExternal;
-    PostToEngine(std::move(event));
+    sharded_->PostEvent(std::move(event));
   });
 
   if (plan.have_checkpoint) {
@@ -123,11 +115,9 @@ ProjectServer::ProjectServer(std::string project_name, ServerOptions options)
         journal->Record(row.event);
       }
     }
-    if (sharded_ != nullptr) {
-      sharded_->RestoreEpochCeiling(
-          plan.manifest.epoch_next,
-          static_cast<size_t>(plan.manifest.epoch_waves));
-    }
+    sharded_->RestoreEpochCeiling(
+        plan.manifest.epoch_next,
+        static_cast<size_t>(plan.manifest.epoch_waves));
     recovered_checkpoint_ = true;
     recovered_checkpoint_id_ = plan.manifest.checkpoint_id;
     recovered_op_seq_ = plan.manifest.op_seq;
@@ -170,9 +160,6 @@ void ProjectServer::StopCheckpointWorker() {
 
 events::EventJournal* ProjectServer::JournalForStream(
     const std::string& name) {
-  if (sharded_ == nullptr) {
-    return &engine_->mutable_journal();
-  }
   const auto parse_index = [&name](const char* prefix,
                                    size_t& out) -> bool {
     if (!StartsWith(name, prefix)) return false;
@@ -208,9 +195,7 @@ void ProjectServer::AttachWal() {
     wal.segment_bytes = options_.wal_segment_bytes;
     wal.fsync = options_.wal_fsync;
     wal.observer = options_.wal_observer;
-    if (sharded_ != nullptr) {
-      wal.epoch_floor = [this] { return sharded_->stats().claim_purge_floor; };
-    }
+    wal.epoch_floor = [this] { return sharded_->stats().claim_purge_floor; };
     return std::make_unique<events::WalWriter>(std::move(wal));
   };
 
@@ -222,17 +207,13 @@ void ProjectServer::AttachWal() {
     sink_journals_.push_back(&journal);
     row_writers_.push_back(std::move(writer));
   };
-  if (sharded_ != nullptr) {
-    for (uint32_t i = 0; i < sharded_->num_shards(); ++i) {
-      attach(sharded_->shard(i).mutable_journal(),
-             make_writer("shard" + std::to_string(i), i));
-    }
-    for (size_t i = 0; i < sharded_->steal_journal_count(); ++i) {
-      attach(sharded_->steal_journal(i),
-             make_writer("steal" + std::to_string(i), 0));
-    }
-  } else {
-    attach(engine_->mutable_journal(), make_writer("shard0", 0));
+  for (uint32_t i = 0; i < sharded_->num_shards(); ++i) {
+    attach(sharded_->shard(i).mutable_journal(),
+           make_writer("shard" + std::to_string(i), i));
+  }
+  for (size_t i = 0; i < sharded_->steal_journal_count(); ++i) {
+    attach(sharded_->steal_journal(i),
+           make_writer("steal" + std::to_string(i), 0));
   }
 }
 
@@ -481,11 +462,7 @@ uint64_t ProjectServer::WalReopen() {
   }
   // Quiesce the engine without touching the wedged writers (FlushWal
   // no-ops while degraded; the sinks are fail-soft).
-  if (sharded_ != nullptr) {
-    sharded_->Drain();
-  } else {
-    engine_->ProcessAll();
-  }
+  sharded_->Drain();
   // Discard the writers and their buffered tails. Anything buffered but
   // not durable is unrecoverable through a failing fd anyway; the
   // checkpoint below re-captures it from memory.
@@ -591,10 +568,8 @@ ProjectServer::CheckpointCut ProjectServer::BuildCheckpointCut(
   cut.op_seq = op_seq_;
   cut.ops_offset = ops_writer_->logical_end();
   cut.clock_seconds = clock_.NowSeconds();
-  if (sharded_ != nullptr) {
-    cut.epoch_next = sharded_->epoch_ceiling();
-    cut.epoch_waves = sharded_->stats().wave_epochs;
-  }
+  cut.epoch_next = sharded_->epoch_ceiling();
+  cut.epoch_waves = sharded_->stats().wave_epochs;
   cut.blueprint_text = blueprint_text_;
   cut.workspace_text = metadb::SaveWorkspaceText(workspace_);
   // Only serialized once versions exist, so pre-versioning WAL
@@ -827,24 +802,12 @@ size_t ProjectServer::RecoverFrom(const std::string& dir) {
   return applied;
 }
 
-void ProjectServer::PostToEngine(events::EventMessage event) {
-  if (sharded_ != nullptr) {
-    sharded_->PostEvent(std::move(event));
-  } else {
-    engine_->PostEvent(std::move(event));
-  }
-}
-
 void ProjectServer::InstallBlueprintRules(std::string_view rule_file_text,
                                           uint64_t version_id) {
-  blueprint::Blueprint parsed = blueprint::ParseBlueprint(rule_file_text);
-  if (sharded_ != nullptr) {
-    sharded_->LoadBlueprint(parsed, version_id);
-  } else {
-    engine_->LoadBlueprint(std::move(parsed), version_id);
-  }
+  sharded_->LoadBlueprint(blueprint::ParseBlueprint(rule_file_text),
+                          version_id);
   // Retemplating only mutates the shared meta-database (observers keep
-  // every shard index in step), so shard 0's engine covers both modes.
+  // every shard index in step), so shard 0's engine covers every shard.
   if (options_.retemplate_on_init) engine().RetemplateLinks();
   blueprint_text_ = std::string(rule_file_text);
 }
@@ -982,9 +945,7 @@ metadb::LinkId ProjectServer::RegisterLink(metadb::LinkKind kind,
     throw NotFoundError("RegisterLink: unknown endpoint " +
                         FormatOid(!from_id.has_value() ? from : to));
   }
-  const metadb::LinkId link =
-      sharded_ != nullptr ? sharded_->OnCreateLink(kind, *from_id, *to_id)
-                          : engine_->OnCreateLink(kind, *from_id, *to_id);
+  const metadb::LinkId link = sharded_->OnCreateLink(kind, *from_id, *to_id);
   if (logging()) {
     LogOp(/*pre_apply=*/false, [&](uint64_t seq) {
       ops_writer_->AppendLinkOp(seq, static_cast<uint8_t>(kind), from, to);
@@ -1015,14 +976,13 @@ void ProjectServer::Submit(events::EventMessage event) {
     LogOp(/*pre_apply=*/true,
           [&](uint64_t seq) { ops_writer_->AppendEventOp(seq, event); });
   }
-  PostToEngine(std::move(event));
+  sharded_->PostEvent(std::move(event));
   if (options_.auto_drain) Drain();
   MaybeAutoCheckpoint();
 }
 
 size_t ProjectServer::Drain() {
-  const size_t processed =
-      sharded_ != nullptr ? sharded_->Drain() : engine_->ProcessAll();
+  const size_t processed = sharded_->Drain();
   FlushWal();
   return processed;
 }

@@ -45,15 +45,15 @@ enum class CheckpointMode { kFull, kDelta };
 /// Server configuration.
 struct ServerOptions {
   EngineOptions engine;
-  /// Number of engine shards. 1 (default) runs the plain single-thread
-  /// RunTimeEngine; >1 backs the server with a ShardedEngine so
-  /// submitted events flow through the lock-free sharded intake rings
-  /// and execute on the worker pool. Structural operations (check-in
-  /// registration, link registration, blueprint loads) remain
-  /// single-writer: the session mux serializes all mutations onto its
-  /// apply thread.
+  /// Number of ShardedEngine shards behind the server. 1 (default) runs
+  /// the single shard engine inline on the calling thread; >1 routes
+  /// submitted events through the lock-free sharded intake rings to the
+  /// worker pool. Structural operations (check-in registration, link
+  /// registration, blueprint loads) remain single-writer: the session
+  /// mux serializes all mutations onto its apply thread.
   uint32_t num_shards = 1;
-  /// Forwarded to the ShardedEngine when num_shards > 1.
+  /// ShardedEngineOptions::deterministic (moot at one shard, which
+  /// always runs on the caller).
   bool deterministic_shards = false;
   /// Direction stamped on auto-posted ckin events; the paper's sample
   /// command uses `up` ("postEvent ckin up reg,verilog,4 ...").
@@ -183,8 +183,8 @@ class ProjectServer {
   // The gated path to changing the live rule set:
   //   PolicyPropose -> PolicyValidate -> PolicyPromote -> PolicyRollback
   // Promotion and rollback recompile the chosen version through the
-  // compiled-rules generation counter, so live engines (plain or
-  // sharded) rebind per-OID rule caches lazily — no stop-the-world
+  // compiled-rules generation counter, so every shard engine rebinds
+  // its per-OID rule caches lazily — no stop-the-world
   // reload. All four are durable structural operations: they append to
   // the WAL post-apply and replay through the same methods.
 
@@ -312,20 +312,15 @@ class ProjectServer {
   metadb::MetaDatabase& database() noexcept { return db_; }
   const metadb::MetaDatabase& database() const noexcept { return db_; }
 
-  /// The engine behind the server: the plain engine, or shard 0 of the
-  /// sharded engine (template application and retemplating delegate to
-  /// shard 0, so it is the structural-operation peer either way).
-  RunTimeEngine& engine() noexcept {
-    return sharded_ != nullptr ? sharded_->shard(0) : *engine_;
-  }
-  const RunTimeEngine& engine() const noexcept {
-    return sharded_ != nullptr ? sharded_->shard(0) : *engine_;
-  }
+  /// Shard 0 of the engine: template application and retemplating
+  /// delegate to it, and at one shard it is the whole engine.
+  RunTimeEngine& engine() noexcept { return sharded_->shard(0); }
+  const RunTimeEngine& engine() const noexcept { return sharded_->shard(0); }
 
-  /// True when events flow through the sharded intake rings.
-  bool is_sharded() const noexcept { return sharded_ != nullptr; }
+  /// True when events flow through the sharded intake rings (N > 1).
+  bool is_sharded() const noexcept { return sharded_->num_shards() > 1; }
 
-  /// The sharded backend, or nullptr when num_shards == 1.
+  /// The engine behind the server (never null).
   ShardedEngine* sharded_engine() noexcept { return sharded_.get(); }
   const ShardedEngine* sharded_engine() const noexcept {
     return sharded_.get();
@@ -338,9 +333,6 @@ class ProjectServer {
   /// Throws PermissionError when the installed policy denies the request.
   void EnforcePolicy(policy::Operation operation, std::string_view user,
                      std::string_view view, std::string_view block) const;
-
-  /// Routes one event to the plain engine or the sharded intake rings.
-  void PostToEngine(events::EventMessage event);
 
   /// Parses `rule_file_text` and installs it into the live engines,
   /// stamping the compiled rules with `version_id` so bindings rebind.
@@ -488,8 +480,7 @@ class ProjectServer {
   ServerOptions options_;
   SimClock clock_;
   metadb::MetaDatabase db_;
-  std::unique_ptr<RunTimeEngine> engine_;   ///< num_shards == 1.
-  std::unique_ptr<ShardedEngine> sharded_;  ///< num_shards > 1.
+  std::unique_ptr<ShardedEngine> sharded_;
   metadb::Workspace workspace_;
   policy::PolicyEngine* policy_ = nullptr;
   policy::PolicyStore policy_store_;

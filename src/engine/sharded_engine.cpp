@@ -322,12 +322,11 @@ class ShardedEngine::ClaimStore {
 /// stay in a lane-local map — no locks, no atomics on the claim path,
 /// published between workers by the busy flag's acquire/release.
 ///
-/// Handoff batching (batched_handoff): foreign receivers aggregate per
-/// (wave epoch, target shard) in first-encounter order — the epoch
-/// uniquely identifies the wave payload within a task, each direction
-/// post minting its own — so a wave whose receivers interleave across
-/// shards posts one aggregated sub-wave per shard instead of one per
-/// consecutive run (the PR-4 baseline kept behind the option).
+/// Handoff batching: foreign receivers aggregate per (wave epoch,
+/// target shard) in first-encounter order — the epoch uniquely
+/// identifies the wave payload within a task, each direction post
+/// minting its own — so a wave whose receivers interleave across shards
+/// posts one aggregated sub-wave per shard, not one per receiver run.
 class ShardedEngine::LaneRouter final : public WaveRouter {
  public:
   LaneRouter(ShardedEngine& owner, uint32_t shard)
@@ -384,36 +383,25 @@ class ShardedEngine::LaneRouter final : public WaveRouter {
     const uint32_t target = receiver == last_receiver_
                                 ? last_shard_
                                 : owner_.shard_map_.ShardOf(receiver);
-    if (owner_.options_.batched_handoff) {
-      // One aggregated sub-wave per (epoch, target shard), regardless
-      // of how receivers interleave. Runs of same-shard receivers are
-      // the common case, so the last pending wave is checked before
-      // the map. Shards fit in 16 bits (enforced at construction); the
-      // packed key below cannot alias, and epochs are dense counters
-      // nowhere near 2^48.
-      if (!pending_.empty() && pending_.back().target_shard == target &&
-          pending_.back().epoch == event.wave_epoch) {
-        pending_.back().seeds.push_back(receiver);
-        return;
-      }
-      const uint64_t key = (event.wave_epoch << 16) |
-                           static_cast<uint64_t>(target & 0xFFFF);
-      const auto [it, inserted] =
-          pending_index_.try_emplace(key, pending_.size());
-      if (inserted) {
-        pending_.push_back(PendingWave{target, event.wave_epoch, event, {}});
-      }
-      pending_[it->second].seeds.push_back(receiver);
+    // One aggregated sub-wave per (epoch, target shard), regardless of
+    // how receivers interleave. Runs of same-shard receivers are the
+    // common case, so the last pending wave is checked before the map.
+    // Shards fit in 16 bits (enforced at construction); the packed key
+    // below cannot alias, and epochs are dense counters nowhere near
+    // 2^48.
+    if (!pending_.empty() && pending_.back().target_shard == target &&
+        pending_.back().epoch == event.wave_epoch) {
+      pending_.back().seeds.push_back(receiver);
       return;
     }
-    // Unbatched baseline: only consecutive receivers of the same wave
-    // payload headed for the same shard merge (the epoch uniquely
-    // identifies the payload within a task).
-    if (pending_.empty() || pending_.back().target_shard != target ||
-        pending_.back().epoch != event.wave_epoch) {
+    const uint64_t key =
+        (event.wave_epoch << 16) | static_cast<uint64_t>(target & 0xFFFF);
+    const auto [it, inserted] =
+        pending_index_.try_emplace(key, pending_.size());
+    if (inserted) {
       pending_.push_back(PendingWave{target, event.wave_epoch, event, {}});
     }
-    pending_.back().seeds.push_back(receiver);
+    pending_[it->second].seeds.push_back(receiver);
   }
 
   /// Enqueues every accumulated sub-wave on its target shard, splitting
@@ -485,7 +473,7 @@ class ShardedEngine::LaneRouter final : public WaveRouter {
   OidId last_receiver_;  ///< Owns() memo consumed by Handoff().
   uint32_t last_shard_ = 0;
   std::vector<PendingWave> pending_;  ///< First-encounter order.
-  /// (epoch, target shard) -> pending_ slot (batched_handoff mode).
+  /// (epoch, target shard) -> pending_ slot.
   std::unordered_map<uint64_t, size_t> pending_index_;
   /// Lane-local claims (single-executor shards; no stealing).
   EpochClaimSet claims_;
@@ -514,12 +502,7 @@ class ShardedEngine::IndexRouter final : public metadb::LinkObserver,
                                          public metadb::ShardMapListener {
  public:
   explicit IndexRouter(ShardedEngine& owner) : owner_(owner) {
-    // Scan-mode engines (use_propagation_index = false) query no index;
-    // maintaining one per shard would be pure overhead.
-    if (owner_.num_shards_ > 1 &&
-        owner_.options_.engine.use_propagation_index) {
-      owner_.db_.AddLinkObserver(this);
-    }
+    owner_.db_.AddLinkObserver(this);
   }
 
   ~IndexRouter() override { owner_.db_.RemoveLinkObserver(this); }
@@ -636,13 +619,13 @@ struct ShardedEngine::Lane {
   std::unique_ptr<LaneRouter> router;
 
   /// Lock-free intake for TOP-LEVEL queue events (threaded mode); null
-  /// in deterministic mode. Single consumer (the occupant), so
+  /// in deterministic mode and at one shard. Single consumer (the occupant), so
   /// per-shard FIFO for top-level waves is structural: stealing never
   /// touches this ring.
   std::unique_ptr<TaskRing> ring;
 
   /// Epoch-tagged cross-shard sub-waves (threaded mode); null in
-  /// deterministic mode. Multi-consumer: the occupant and stealing
+  /// deterministic mode and at one shard. Multi-consumer: the occupant and stealing
   /// workers pop concurrently (TryPopShared) — sub-wave order across
   /// executors is free, exactly-once comes from the claim stores.
   std::unique_ptr<TaskRing> sub_ring;
@@ -809,9 +792,13 @@ ShardedEngine::ShardedEngine(metadb::MetaDatabase& db, SimClock& clock,
       clock_(clock),
       options_(options),
       num_shards_(options.num_shards == 0 ? 1 : options.num_shards),
-      // Registers as a link observer (N > 1) ahead of shard_map_: link
-      // ops must reach the indexes under pre-union assignments.
-      index_router_(std::make_unique<IndexRouter>(*this)),
+      // Registers as a link observer ahead of shard_map_: link ops must
+      // reach the indexes under pre-union assignments. Only sharded
+      // index engines have shard indexes to route to; scan-mode engines
+      // (use_propagation_index = false) query none.
+      index_router_(num_shards_ > 1 && options.engine.use_propagation_index
+                        ? std::make_unique<IndexRouter>(*this)
+                        : nullptr),
       shard_map_(db, num_shards_),
       counters_(std::make_unique<Counters>()) {
   if (num_shards_ > 0xFFFF) {
@@ -819,23 +806,28 @@ ShardedEngine::ShardedEngine(metadb::MetaDatabase& db, SimClock& clock,
     // (LaneRouter::Handoff); aliasing shards would break exactly-once.
     throw Error("ShardedEngine: num_shards must be <= 65535");
   }
+  if (num_shards_ == 1) {
+    // Inline: the single engine keeps its self-maintained full index
+    // and gets no router (no receiver can be foreign), rings or workers.
+    auto lane = std::make_unique<Lane>();
+    lane->engine =
+        std::make_unique<RunTimeEngine>(db_, clock_, options_.engine);
+    lanes_.push_back(std::move(lane));
+    return;
+  }
   lanes_.reserve(num_shards_);
   // Shard engines never self-maintain their index: SetIndexScope below
   // installs the scoped build, so the constructor's full-graph build
   // would be N wasted passes over a pre-populated database.
   EngineOptions engine_options = options_.engine;
-  if (num_shards_ > 1) engine_options.external_index_maintenance = true;
+  engine_options.external_index_maintenance = true;
   for (uint32_t shard = 0; shard < num_shards_; ++shard) {
     auto lane = std::make_unique<Lane>();
     lane->shard = shard;
     lane->engine =
         std::make_unique<RunTimeEngine>(db_, clock_, engine_options);
     lane->router = std::make_unique<LaneRouter>(*this, shard);
-    // With one shard no receiver can be foreign: skip the router so the
-    // engine does not even pay the Owns() probe — num_shards = 1 is the
-    // PR-2 engine, byte for byte (it also keeps its self-maintained
-    // full index; scoping only pays off with actual shards).
-    if (num_shards_ > 1) lane->engine->SetWaveRouter(lane->router.get());
+    lane->engine->SetWaveRouter(lane->router.get());
     if (!options_.deterministic) {
       lane->ring = std::make_unique<TaskRing>(
           RingCapacity(options_.queue_capacity));
@@ -844,7 +836,7 @@ ShardedEngine::ShardedEngine(metadb::MetaDatabase& db, SimClock& clock,
     }
     lanes_.push_back(std::move(lane));
   }
-  if (num_shards_ > 1 && options_.engine.use_propagation_index) {
+  if (index_router_ != nullptr) {
     // Scope every shard engine's index to its own subtree (the engine
     // never self-registered — external_index_maintenance above), then
     // fill all N indexes in ONE routed pass over the database instead
@@ -871,8 +863,7 @@ ShardedEngine::ShardedEngine(metadb::MetaDatabase& db, SimClock& clock,
     // lane-local claim sets (any executor may consult them) and every
     // worker gets a private scan-mode steal engine. A single worker
     // never observes a busy lane, so stealing is moot below two.
-    stealing_active_ =
-        options_.lane_stealing && num_shards_ > 1 && worker_count > 1;
+    stealing_active_ = options_.lane_stealing && worker_count > 1;
     if (stealing_active_) {
       claim_stores_.reserve(num_shards_);
       for (uint32_t shard = 0; shard < num_shards_; ++shard) {
@@ -986,14 +977,16 @@ uint64_t ShardedEngine::MinLiveEpoch() const noexcept {
 
 // --- Structural operations ---------------------------------------------------
 
-void ShardedEngine::LoadBlueprint(const blueprint::Blueprint& blueprint,
+void ShardedEngine::LoadBlueprint(blueprint::Blueprint blueprint,
                                   uint64_t policy_version) {
-  for (auto& lane : lanes_) {
-    lane->engine->LoadBlueprint(blueprint.Clone(), policy_version);
+  // Every other engine gets a deep copy; shard 0 takes the original.
+  for (size_t i = 1; i < lanes_.size(); ++i) {
+    lanes_[i]->engine->LoadBlueprint(blueprint.Clone(), policy_version);
   }
   for (auto& context : steal_contexts_) {
     context->engine->LoadBlueprint(blueprint.Clone(), policy_version);
   }
+  lanes_.front()->engine->LoadBlueprint(std::move(blueprint), policy_version);
 }
 
 void ShardedEngine::LoadBlueprintText(std::string_view text,
@@ -1034,7 +1027,7 @@ void ShardedEngine::Route(EventMessage event) {
   // re-enter here and scope like the queue boundary of the unsharded
   // engine. Overwrites whatever epoch a reposted event inherited from
   // the wave that posted it.
-  event.wave_epoch = num_shards_ > 1 ? MintEpoch() : 0;
+  event.wave_epoch = MintEpoch();
   const uint32_t shard = ShardOfTarget(event.target);
   Task task;
   task.kind = Task::Kind::kEvent;
@@ -1048,6 +1041,10 @@ void ShardedEngine::Route(EventMessage event) {
 
 void ShardedEngine::PostEvent(EventMessage event) {
   counters_->events_posted.fetch_add(1, std::memory_order_relaxed);
+  if (num_shards_ == 1) {
+    lanes_.front()->engine->PostEvent(std::move(event));
+    return;
+  }
   Route(std::move(event));
 }
 
@@ -1200,7 +1197,10 @@ void ShardedEngine::DrainDeterministic() {
 }
 
 size_t ShardedEngine::Drain() {
-  if (options_.deterministic) {
+  if (num_shards_ == 1) {
+    counters_->tasks_processed.fetch_add(lanes_.front()->engine->ProcessAll(),
+                                         std::memory_order_relaxed);
+  } else if (options_.deterministic) {
     DrainDeterministic();
   } else {
     std::unique_lock<std::mutex> lock(counters_->drain_mutex);
@@ -1266,9 +1266,11 @@ ShardedStats ShardedEngine::stats() const {
   for (const auto& lane : lanes_) {
     stats.index_entries += lane->engine->propagation_index().entry_count();
   }
-  stats.boundary_links = index_router_->boundary_link_count();
-  stats.index_observer_updates = index_router_->observer_updates();
-  stats.index_migrated_sources = index_router_->migrated_sources();
+  if (index_router_ != nullptr) {
+    stats.boundary_links = index_router_->boundary_link_count();
+    stats.index_observer_updates = index_router_->observer_updates();
+    stats.index_migrated_sources = index_router_->migrated_sources();
+  }
   return stats;
 }
 

@@ -74,21 +74,27 @@
 //
 // The journal is the synchronization point: each shard engine journals
 // its own deliveries under dense per-shard sequence numbers, and the
-// merged views below stitch them together. Differential guarantees:
-//  * num_shards = 1 is journal-byte-identical to the plain PR-2 engine
-//    (no router is installed, so not even the Owns() probe is paid);
-//  * for N > 1 the multiset of journal records equals the 1-shard run
-//    — including reconvergent topologies where one wave reaches an OID
-//    through two shards (the epoch claim delivers it once); only the
-//    interleaving *across* shards differs.
+// merged views below stitch them together. For N > 1 the multiset of
+// journal records equals the 1-shard run — including reconvergent
+// topologies where one wave reaches an OID through two shards (the
+// epoch claim delivers it once); only the interleaving *across* shards
+// differs.
 // ShardedEngineOptions::deterministic = true disables the worker pool:
 // tasks execute on the calling thread ordered by (wave epoch, intake
 // ticket) — all of a wave's reachable work completes before the next
 // wave's, mirroring the wave atomicity of the single FIFO queue — so
 // differential tests get a reproducible schedule.
 //
-// Threading contract: PostEvent / Drain may be called from any thread
-// (intake is lock-free until a ring overflows to its fallback deque).
+// One shard runs inline. With nothing to partition, the engine is its
+// single RunTimeEngine: PostEvent pushes onto that engine's queue and
+// Drain is its ProcessAll on the calling thread. No worker, ring, task,
+// wave epoch, index router or steal context exists, and the shard map
+// tracks nothing (every OID is on shard 0). This is the engine every
+// ProjectServer runs at its default shard count.
+//
+// Threading contract: with N > 1, PostEvent / Drain may be called from
+// any thread (intake is lock-free until a ring overflows to its fallback
+// deque); with one shard they share the caller's single thread.
 // Everything structural — LoadBlueprint, OnCreateObject / OnCreateLink,
 // direct MetaDatabase mutations, Rebalance, journal/stat accessors —
 // must happen while the engine is quiescent (after Drain returns and
@@ -112,8 +118,8 @@ namespace damocles::engine {
 
 /// Tuning knobs for the sharded engine.
 struct ShardedEngineOptions {
-  /// Number of shards (and worker threads). 1 reproduces the plain
-  /// engine exactly.
+  /// Number of shards (and worker threads). 1 runs the single shard
+  /// engine inline on the caller: no threads, rings or epochs.
   uint32_t num_shards = 1;
 
   /// Execute tasks on the calling thread in global intake-ticket order
@@ -141,15 +147,6 @@ struct ShardedEngineOptions {
   /// sharded analogue of max_wave_deliveries). Legitimate chains are
   /// bounded by the number of subtree crossings, far below this.
   uint32_t max_handoff_hops = 64;
-
-  /// Aggregate handoff seeds per (wave epoch, target shard): a wave
-  /// whose foreign receivers interleave across shards posts ONE seeded
-  /// sub-wave per target shard instead of one per consecutive run of
-  /// receivers, amortizing ring traffic and claim rounds. Off keeps the
-  /// PR-4 behaviour (only consecutive same-shard receivers merge) as
-  /// the benchmark baseline; the delivered record multiset is identical
-  /// either way.
-  bool batched_handoff = true;
 
   /// Upper bound on seeds per handoff task (0 = unbounded). A batch
   /// larger than this is split into consecutive FIFO chunks, which
@@ -231,7 +228,7 @@ class ShardedEngine {
   /// `policy_version` stamps the PolicyStore commit the blueprint came
   /// from (0 = direct install); every shard's compiled generation
   /// carries it, so live rebinds stay version-traceable per shard.
-  void LoadBlueprint(const blueprint::Blueprint& blueprint,
+  void LoadBlueprint(blueprint::Blueprint blueprint,
                      uint64_t policy_version = 0);
 
   /// Parses rule-file text and installs it. Throws ParseError.
@@ -252,13 +249,15 @@ class ShardedEngine {
   // --- Intake and execution ---------------------------------------------
 
   /// Routes an event to its target's shard and enqueues it. Lock-free
-  /// until the ring overflows. Safe from multiple threads.
+  /// until the ring overflows; safe from multiple threads when N > 1.
+  /// With one shard, a plain push onto the shard engine's queue.
   void PostEvent(events::EventMessage event);
 
   /// Blocks until every queued event (and every task it spawned) has
   /// been processed. Returns the number of tasks processed by this
   /// drain. One drainer at a time (the coordinating thread); PostEvent
-  /// from other threads stays safe while a drain waits.
+  /// from other threads stays safe while a drain waits (N > 1). With
+  /// one shard, the shard engine's ProcessAll on the calling thread.
   size_t Drain();
 
   /// Rebalances the shard map if a use-link removal/move dirtied it
@@ -366,7 +365,8 @@ class ShardedEngine {
   uint32_t num_shards_;
   /// Declared (and so registered as a link observer) before shard_map_:
   /// the router must see link ops before the map re-groups, so entries
-  /// land under the assignment they were placed with.
+  /// land under the assignment they were placed with. Null unless N > 1
+  /// with propagation indexes.
   std::unique_ptr<IndexRouter> index_router_;
   metadb::ShardMap shard_map_;
   std::vector<std::unique_ptr<Lane>> lanes_;

@@ -10,6 +10,7 @@
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
+#include <utility>
 
 #include "common/errno_string.hpp"
 #include "common/error.hpp"
@@ -562,9 +563,10 @@ WalWriter::~WalWriter() {
   try {
     CloseSegment();
   } catch (const Error&) {
-    // Destructors must not throw; a failed final flush surfaces as a
-    // torn tail on the next recovery, which is exactly what the format
-    // is built to absorb.
+    // Destructors must not throw; a failed final flush or sync surfaces
+    // as a torn tail on the next recovery, which is exactly what the
+    // format is built to absorb. The fd must not leak either way.
+    if (fd_ >= 0) ::close(fd_);
   }
 }
 
@@ -593,12 +595,19 @@ void WalWriter::OpenSegment() {
 
 void WalWriter::CloseSegment() {
   if (fd_ < 0) return;
-  Flush();
+  // A failed flush or sync throws with the segment still open (its
+  // unwritten tail buffered), so a retried append resumes on it.
   if (options_.fsync != FsyncPolicy::kNone) {
-    ::fsync(fd_);
+    Sync();
+  } else {
+    Flush();
   }
-  ::close(fd_);
-  fd_ = -1;
+  const int fd = std::exchange(fd_, -1);
+  if (::close(fd) != 0) {
+    const int err = errno;
+    throw WalIoError("wal: close failed on " + path_ + ": " +
+                     common::ErrnoString(err));
+  }
 }
 
 void WalWriter::MaybeRoll() {
@@ -608,8 +617,10 @@ void WalWriter::MaybeRoll() {
     throw WalIoError("wal: injected segment-roll failure on stream '" +
                      options_.stream + "' (failpoint wal.roll)");
   }
-  // CloseSegment flushes; a failed flush leaves this segment open (with
-  // the unwritten tail still buffered) so a retried append can resume.
+  // CloseSegment flushes (and syncs unless fsync=none); a failure
+  // leaves this segment open with the unwritten tail still buffered, so
+  // a retried append can resume. A failed close has already released
+  // the fd, so the retry rolls straight onto the next segment.
   CloseSegment();
   base_offset_ += file_bytes_;
   ++segment_index_;

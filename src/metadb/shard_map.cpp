@@ -8,6 +8,9 @@ namespace damocles::metadb {
 
 ShardMap::ShardMap(MetaDatabase& db, uint32_t num_shards)
     : db_(db), num_shards_(num_shards == 0 ? 1 : num_shards) {
+  // One shard has one answer: track nothing and observe nothing. Every
+  // slot stays untracked, so ShardOf is 0 and each OID is its own root.
+  if (num_shards_ == 1) return;
   // Seed the forest from the existing meta-data, then let the observer
   // protocol keep it current.
   block_of_slot_.assign(db_.ObjectSlotCount(), kUnassigned);
@@ -130,6 +133,7 @@ void ShardMap::Union(uint32_t a, uint32_t b) {
 }
 
 void ShardMap::Rebalance() {
+  if (num_shards_ == 1) return;  // Nothing tracked, nothing to deal.
   // With a listener installed, snapshot effective assignments so the
   // re-deal can be reported as a per-OID diff (bucket migration beats
   // rebuilding N indexes).

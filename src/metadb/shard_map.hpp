@@ -80,7 +80,9 @@ class ShardMapListener {
 
 /// Assigns every OID to a shard by the root block of its use-link
 /// subtree. Registers itself as a MetaDatabase observer; unregisters on
-/// destruction. The database must outlive the map.
+/// destruction. The database must outlive the map. A one-shard map
+/// tracks nothing: ShardOf is 0, every OID is its own root, and
+/// Rebalance is a no-op.
 class ShardMap final : public LinkObserver {
  public:
   ShardMap(MetaDatabase& db, uint32_t num_shards);

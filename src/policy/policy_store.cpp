@@ -248,7 +248,10 @@ std::string PolicyStore::SerializeText() const {
   out += '\n';
   out += "next-id " + std::to_string(next_id_) + "\n";
   out += "stack " + std::to_string(promoted_stack_.size());
-  for (const uint64_t id : promoted_stack_) out += " " + std::to_string(id);
+  for (const uint64_t id : promoted_stack_) {
+    out += ' ';
+    out += std::to_string(id);
+  }
   out += '\n';
   for (const PolicyVersion& version : versions_) {
     out += "version " + std::to_string(version.id) + " " +

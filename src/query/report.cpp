@@ -68,7 +68,8 @@ std::string FormatShadowWaveReport(const policy::ShadowWaveReport& report) {
            metadb::FormatOid(path.target) + " rules " +
            std::to_string(path.matched_rules) + " via";
     for (const metadb::Oid& hop : path.chain) {
-      out += " " + metadb::FormatOidWire(hop);
+      out += ' ';
+      out += metadb::FormatOidWire(hop);
     }
     out += "\n";
   }

@@ -123,7 +123,8 @@ std::string DescribeUpToDate(const engine::ProjectServer& server) {
   if (stale.empty()) return "everything up to date";
   std::string text = "out of date:";
   for (const query::Match& match : stale) {
-    text += " " + metadb::FormatOid(match.oid);
+    text += ' ';
+    text += metadb::FormatOid(match.oid);
   }
   return text;
 }

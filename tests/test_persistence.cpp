@@ -277,7 +277,11 @@ TEST_P(PersistenceFuzz, RandomDatabaseRoundTrips) {
         ids.push_back(id);
         const int props = static_cast<int>(rng.UniformInt(0, 4));
         for (int p = 0; p < props; ++p) {
-          db.SetProperty(id, "p" + std::to_string(p),
+          // Appended: gcc 12 flags `"p" + std::to_string(p)` at -O3 with
+          // a false -Werror=restrict.
+          std::string name = "p";
+          name += std::to_string(p);
+          db.SetProperty(id, name,
                          rng.Chance(0.5) ? "good" : "bad value with spaces");
         }
       }

@@ -1,7 +1,8 @@
 // Tests for the sharded wave engine and the block-subtree shard map.
 //
 // The load-bearing guarantees, pinned differentially:
-//  * num_shards = 1 is journal-byte-identical to the plain PR-2 engine;
+//  * num_shards = 1 is journal-byte-identical to a plain RunTimeEngine
+//    and runs inline on the caller's thread;
 //  * for N shards the multiset of journal records matches the 1-shard
 //    run exactly — including reconvergent topologies (one wave reaching
 //    an OID through two shards) where the per-wave (epoch, OID) claims
@@ -24,12 +25,14 @@
 #include <memory>
 #include <set>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "blueprint/parser.hpp"
 #include "common/clock.hpp"
 #include "common/rng.hpp"
 #include "engine/run_time_engine.hpp"
+#include "engine/script_executor.hpp"
 #include "engine/sharded_engine.hpp"
 #include "metadb/meta_database.hpp"
 #include "metadb/shard_map.hpp"
@@ -62,6 +65,14 @@ EventMessage Event(std::string name, const Oid& target, Direction direction,
   event.user = "test";
   event.timestamp = 1;  // Fixed stamp: runs compare byte-for-byte.
   return event;
+}
+
+/// `prefix` followed by `i`. Appends rather than `"literal" +
+/// std::to_string(i)`, which gcc 12 flags at -O3 with a false
+/// -Werror=restrict.
+std::string Numbered(std::string prefix, int i) {
+  prefix += std::to_string(i);
+  return prefix;
 }
 
 // --- A workload both engine flavours can replay identically ----------------
@@ -213,7 +224,7 @@ TEST(ShardedEngine, OneShardIsByteIdenticalToPlainEngine) {
   }
 }
 
-// A threaded single worker must match too (same lane FIFO, real thread).
+// Default (threaded) options at one shard run inline and must match too.
 TEST(ShardedEngine, OneShardThreadedMatchesPlainEngine) {
   WorkloadSpec spec;
   spec.events = 40;
@@ -232,6 +243,40 @@ TEST(ShardedEngine, OneShardThreadedMatchesPlainEngine) {
 
   EXPECT_EQ(plain.journal().Dump(), sharded.shard(0).journal().Dump());
   EXPECT_EQ(PropertySnapshot(plain_db), PropertySnapshot(sharded_db));
+}
+
+// One shard runs inline: with default (threaded) options the wave, and
+// the exec rule inside it, runs on the thread that calls Drain — there
+// is no worker to hand it to.
+TEST(ShardedEngine, OneShardRunsOnTheCallersThread) {
+  class ThreadProbe : public engine::ScriptExecutor {
+   public:
+    int Execute(const engine::ExecRequest&) override {
+      ran_on.push_back(std::this_thread::get_id());
+      return 0;
+    }
+    std::vector<std::thread::id> ran_on;
+  };
+
+  MetaDatabase db;
+  SimClock clock;
+  ShardedEngineOptions options;
+  options.num_shards = 1;
+  ASSERT_FALSE(options.deterministic);
+  ShardedEngine sharded(db, clock, options);
+  sharded.LoadBlueprintText(R"(blueprint probe
+view v
+  when ev do exec probe done
+endview
+endblueprint)");
+  ThreadProbe probe;
+  sharded.shard(0).SetScriptExecutor(&probe);
+  sharded.OnCreateObject("x", "v", "test");
+  sharded.PostEvent(Event("ev", Oid{"x", "v", 1}, Direction::kUp));
+  sharded.Drain();
+
+  ASSERT_EQ(probe.ran_on.size(), 1u);
+  EXPECT_EQ(probe.ran_on[0], std::this_thread::get_id());
 }
 
 // --- Differential: N shards == 1 shard, as a record multiset ---------------
@@ -803,39 +848,38 @@ std::vector<std::string> DriveHubWave(ShardedEngine& engine) {
 }
 
 /// Batched handoff posts ONE aggregated sub-wave per (epoch, target
-/// shard) no matter how receivers interleave; the unbatched baseline
-/// merges only consecutive same-shard runs (here: runs of length one).
+/// shard) no matter how receivers interleave: a hub wave whose spokes
+/// cycle through every shard (run length one) hands off exactly
+/// shards - 1 tasks carrying every foreign spoke, and delivers exactly
+/// what the 1-shard engine delivers.
 TEST(ShardedBatching, HandoffAggregatesPerTargetShard) {
   constexpr int kSpokes = 24;
 
-  const auto run = [&](bool batched, ShardedStats& stats_out) {
+  MetaDatabase one_db;
+  SimClock one_clock;
+  ShardedEngine one(one_db, one_clock);
+  BuildHubSpokes(one, one_db, kSpokes);
+  const std::vector<std::string> reference = DriveHubWave(one);
+
+  for (const uint32_t shards : {3u, 8u}) {
     MetaDatabase db;
     SimClock clock;
     ShardedEngineOptions options;
-    options.num_shards = 3;
+    options.num_shards = shards;
     options.deterministic = true;
-    options.batched_handoff = batched;
     ShardedEngine engine(db, clock, options);
-    BuildHubSpokes(engine, db, kSpokes);
-    const std::vector<std::string> lines = DriveHubWave(engine);
-    stats_out = engine.stats();
-    return lines;
-  };
+    const HubSpokes design = BuildHubSpokes(engine, db, kSpokes);
+    const uint32_t hub_shard = engine.shard_map().ShardOf(design.hub);
+    size_t foreign = 0;
+    for (const OidId spoke : design.spokes) {
+      if (engine.shard_map().ShardOf(spoke) != hub_shard) ++foreign;
+    }
 
-  ShardedStats batched_stats;
-  ShardedStats unbatched_stats;
-  const std::vector<std::string> batched_lines = run(true, batched_stats);
-  const std::vector<std::string> unbatched_lines = run(false, unbatched_stats);
-
-  // Same deliveries either way...
-  EXPECT_EQ(batched_lines, unbatched_lines);
-  EXPECT_EQ(batched_stats.handoff_seeds, unbatched_stats.handoff_seeds);
-  // ...but the batched run posts one task per foreign shard while the
-  // unbatched run pays one per receiver (round-robin spokes never put
-  // two consecutive receivers on the same shard).
-  EXPECT_EQ(batched_stats.handoff_waves, 2u);
-  EXPECT_EQ(unbatched_stats.handoff_waves, unbatched_stats.handoff_seeds);
-  EXPECT_GT(unbatched_stats.handoff_waves, batched_stats.handoff_waves);
+    EXPECT_EQ(DriveHubWave(engine), reference) << shards << " shards";
+    const ShardedStats stats = engine.stats();
+    EXPECT_EQ(stats.handoff_waves, shards - 1) << shards << " shards";
+    EXPECT_EQ(stats.handoff_seeds, foreign) << shards << " shards";
+  }
 }
 
 /// A batch above max_batch_seeds splits into consecutive FIFO chunks:
@@ -913,7 +957,7 @@ TEST(ShardedBatching, SeedBatchSpillsAtRingBoundaryWithoutLoss) {
     BuildHubSpokes(engine, db, kSpokes);
     for (int i = 0; i < kWaves; ++i) {
       engine.PostEvent(Event("edit", Oid{"hub", "sch", 1}, Direction::kDown,
-                             "w" + std::to_string(i)));
+                             Numbered("w", i)));
     }
     engine.Drain();
     EXPECT_EQ(engine.AggregateEngineStats().propagated_deliveries,
@@ -985,11 +1029,11 @@ TEST(ShardedSteal, StalledLaneSubWavesAreStolenTopLevelFifoHolds) {
   const auto post_all = [&](ShardedEngine& engine) {
     for (int i = 0; i < kHubEvents; ++i) {
       engine.PostEvent(Event("edit", Oid{"heavy", "sch", 1}, Direction::kDown,
-                             "h" + std::to_string(i)));
+                             Numbered("h", i)));
     }
     for (int i = 0; i < kFeederEvents; ++i) {
       engine.PostEvent(Event("edit", Oid{"feeder", "sch", 1},
-                             Direction::kDown, "f" + std::to_string(i)));
+                             Direction::kDown, Numbered("f", i)));
     }
     engine.Drain();
   };
@@ -1092,7 +1136,7 @@ TEST(ShardMap, OracleAfterRandomLinkMoves) {
     std::vector<OidId> oids;
     for (int i = 0; i < 24; ++i) {
       oids.push_back(
-          db.CreateNextVersion("b" + std::to_string(i), "sch", "t", 0));
+          db.CreateNextVersion(Numbered("b", i), "sch", "t", 0));
     }
     std::vector<metadb::LinkId> links;
     const auto random_oid = [&] {

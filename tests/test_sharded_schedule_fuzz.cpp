@@ -8,14 +8,13 @@
 // subtree structure, random cross-subtree derive links with random
 // PROPAGATE lists — diamonds and cycles arise naturally) plus a random
 // event schedule, then replays the identical workload through:
-//   * a 1-shard deterministic engine       (the reference),
+//   * a 1-shard engine                     (the reference),
 //   * an N-shard deterministic engine      (batched handoff),
-//   * an N-shard deterministic engine      (unbatched PR-4 handoff),
 //   * an N-shard THREADED engine           (batching + lane stealing,
 //                                           small rings + seed chunks
 //                                           so spill paths run too),
 // and asserts journal record-multiset equality, property-state
-// equality and exactly-once delivery counts across all four. The rule
+// equality and exactly-once delivery counts across all three. The rule
 // set writes only constant values, so the final property state is
 // schedule-invariant by construction and any divergence is an engine
 // bug, not workload noise.
@@ -205,7 +204,6 @@ void RunSeedRange(uint64_t first_seed, uint64_t last_seed) {
 
     ShardedEngineOptions reference;
     reference.num_shards = 1;
-    reference.deterministic = true;
     const RunResult expected = RunPlan(plan, reference);
 
     ShardedEngineOptions det_batched;
@@ -213,9 +211,6 @@ void RunSeedRange(uint64_t first_seed, uint64_t last_seed) {
     det_batched.deterministic = true;
     det_batched.max_batch_seeds =
         config_rng.Chance(0.5) ? 3 : det_batched.max_batch_seeds;
-
-    ShardedEngineOptions det_unbatched = det_batched;
-    det_unbatched.batched_handoff = false;
 
     ShardedEngineOptions threaded;
     threaded.num_shards = shards;
@@ -227,7 +222,6 @@ void RunSeedRange(uint64_t first_seed, uint64_t last_seed) {
       const ShardedEngineOptions& options;
     } variants[] = {
         {"deterministic batched", det_batched},
-        {"deterministic unbatched", det_unbatched},
         {"threaded stealing", threaded},
     };
     for (const auto& variant : variants) {

@@ -227,6 +227,41 @@ TEST(WalWriterReader, SegmentsRollAndStayContinuous) {
   }
 }
 
+#if defined(DAMOCLES_FAILPOINTS_ENABLED)
+
+// A segment roll syncs the outgoing segment through Sync(): an fsync
+// failure there throws instead of being dropped, leaves the segment
+// open, and the retried append rolls cleanly.
+TEST(WalWriterReader, RollSurfacesFsyncFailure) {
+  TempDir dir("wal-roll-fsync");
+  {
+    WalWriterOptions options;
+    options.dir = dir.str();
+    options.stream = "ops";
+    options.fsync = FsyncPolicy::kBatch;
+    options.segment_bytes = 40;  // Header + one op: the next op rolls.
+    WalWriter writer(options);
+    writer.AppendClockOp(1, 10);
+    ASSERT_EQ(writer.segment_index(), 1u);
+
+    common::Failpoints::Instance().Configure("wal.fsync", "error,count=1");
+    EXPECT_THROW(writer.AppendClockOp(2, 20), WalIoError);
+    common::Failpoints::Instance().ClearAll();
+    EXPECT_EQ(writer.segment_index(), 1u);
+
+    writer.AppendClockOp(2, 20);
+    EXPECT_EQ(writer.segment_index(), 2u);
+    writer.Sync();
+  }
+  const WalStreamData data = events::ReadWalStream(dir.str(), "ops");
+  EXPECT_FALSE(data.torn) << data.error;
+  ASSERT_EQ(data.ops.size(), 2u);
+  EXPECT_EQ(data.ops[1].op.clock_seconds, 20);
+  EXPECT_EQ(data.segments.size(), 2u);
+}
+
+#endif  // DAMOCLES_FAILPOINTS_ENABLED
+
 TEST(WalWriterReader, ClearEmitsResetMarker) {
   TempDir dir("wal-reset");
   EventJournal journal;
@@ -451,16 +486,7 @@ TEST(WalWorkspaceText, RoundTripsFilesAndVersionFloors) {
 // --- Server durability -----------------------------------------------------
 
 std::vector<std::string> ServerJournalLines(ProjectServer& server) {
-  if (server.is_sharded()) return server.sharded_engine()->JournalLines();
-  std::vector<std::string> lines;
-  const events::EventJournal& journal = server.engine().journal();
-  for (size_t i = 0; i < journal.Size(); ++i) {
-    const events::JournalRecord record = journal.At(i);
-    lines.push_back("[" +
-                    std::string(events::EventOriginName(record.event.origin)) +
-                    "] " + events::FormatEvent(record.event));
-  }
-  return lines;
+  return server.sharded_engine()->JournalLines();
 }
 
 ServerOptions DurableOptions(const std::string& wal_dir,
