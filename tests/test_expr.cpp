@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <ostream>
 
 #include "blueprint/parser.hpp"
 
@@ -127,6 +128,12 @@ struct TruthCase {
   const char* b;
   bool expected;
 };
+
+/// Prints a case by value, so the test name gtest reports stays the same
+/// from run to run instead of carrying the literals' addresses.
+void PrintTo(const TruthCase& c, std::ostream* os) {
+  *os << c.source << " with a=" << c.a << " b=" << c.b;
+}
 
 class ExprTruthTable : public ::testing::TestWithParam<TruthCase> {};
 

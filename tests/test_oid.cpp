@@ -2,11 +2,17 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
 #include <unordered_set>
 
 #include "common/error.hpp"
 
 namespace damocles::metadb {
+
+/// Prints an OID in display style, so the test name gtest reports stays the
+/// same from run to run instead of carrying its strings' heap addresses.
+void PrintTo(const Oid& oid, std::ostream* os) { *os << FormatOid(oid); }
+
 namespace {
 
 TEST(Oid, FormatDisplayStyle) {
