@@ -1,7 +1,6 @@
 #include "engine/project_server.hpp"
 
 #include <chrono>
-#include <filesystem>
 #include <thread>
 
 #include "blueprint/parser.hpp"
@@ -25,20 +24,22 @@ int64_t SteadyNowMs() {
 ProjectServer::ProjectServer(std::string project_name, ServerOptions options)
     : project_name_(std::move(project_name)),
       options_(options),
+      fs_(options_.file_system != nullptr ? *options_.file_system
+                                          : common::PosixFileSystem()),
       workspace_(project_name_ + ".workspace"),
       checkpoint_backoff_(options_.wal_retry) {
   const bool durable = !options_.wal_dir.empty();
   metadb::RecoveryPlan plan;
   if (durable) {
-    std::filesystem::create_directories(options_.wal_dir);
-    if (options_.auto_recover) {
-      plan = metadb::BuildRecoveryPlan(options_.wal_dir);
-      const metadb::WalGcStats gc =
-          metadb::PrepareWalDirectory(options_.wal_dir, plan);
-      gc_artifacts_removed_.store(gc.artifacts_removed,
-                                  std::memory_order_relaxed);
-      failed_removals_.store(gc.failed_removals, std::memory_order_relaxed);
+    if (const int err = fs_.CreateDirectories(options_.wal_dir); err != 0) {
+      throw Error("wal: cannot create directory " + options_.wal_dir + ": " +
+                  common::ErrnoString(err));
     }
+    plan = metadb::BuildRecoveryPlan(options_.wal_dir, fs_);
+    const common::RemovalStats gc =
+        metadb::PrepareWalDirectory(options_.wal_dir, plan, fs_);
+    gc_artifacts_removed_.store(gc.files_removed, std::memory_order_relaxed);
+    failed_removals_.store(gc.failed_removals, std::memory_order_relaxed);
     if (plan.have_checkpoint) {
       // Load the checkpoint before any engine exists: move-assigning
       // the database is only safe while its observer list is empty.
@@ -160,24 +161,14 @@ void ProjectServer::StopCheckpointWorker() {
 
 events::EventJournal* ProjectServer::JournalForStream(
     const std::string& name) {
-  const auto parse_index = [&name](const char* prefix,
-                                   size_t& out) -> bool {
-    if (!StartsWith(name, prefix)) return false;
-    const std::string digits = name.substr(std::string(prefix).size());
-    if (digits.empty() ||
-        digits.find_first_not_of("0123456789") != std::string::npos) {
-      return false;
-    }
-    out = static_cast<size_t>(std::stoull(digits));
-    return true;
-  };
-  size_t index = 0;
-  if (parse_index("shard", index) && index < sharded_->num_shards()) {
+  uint64_t index = 0;
+  if (common::ParseNumberedName(name, "shard", "", index) &&
+      index < sharded_->num_shards()) {
     return &sharded_->shard(static_cast<uint32_t>(index)).mutable_journal();
   }
-  if (parse_index("steal", index) &&
+  if (common::ParseNumberedName(name, "steal", "", index) &&
       index < sharded_->steal_journal_count()) {
-    return &sharded_->steal_journal(index);
+    return &sharded_->steal_journal(static_cast<size_t>(index));
   }
   // Config drift (fewer shards / steal contexts than the checkpointing
   // process had): fold leftovers into shard 0 — the journal multiset
@@ -194,7 +185,7 @@ void ProjectServer::AttachWal() {
     wal.shard_id = shard_id;
     wal.segment_bytes = options_.wal_segment_bytes;
     wal.fsync = options_.wal_fsync;
-    wal.observer = options_.wal_observer;
+    wal.fs = &fs_;
     wal.epoch_floor = [this] { return sharded_->stats().claim_purge_floor; };
     return std::make_unique<events::WalWriter>(std::move(wal));
   };
@@ -283,24 +274,14 @@ void ProjectServer::FlushWal() {
   // only burn the retry budget on every drain.
   if (degraded_.load(std::memory_order_acquire)) return;
   const auto flush_all = [this] {
-    switch (options_.wal_fsync) {
-      case events::FsyncPolicy::kBatch:
-        ops_writer_->Sync();
-        for (auto& writer : row_writers_) writer->Sync();
-        break;
-      case events::FsyncPolicy::kEveryRecord:
-        // Each append group already fsynced itself.
-        ops_writer_->Flush();
-        for (auto& writer : row_writers_) writer->Flush();
-        break;
-      case events::FsyncPolicy::kNone:
-        // Best-effort tier: records stay in the writers' buffers until
-        // a buffer fills, a checkpoint syncs, or the server shuts down
-        // cleanly. Draining costs no syscalls; a kill -9 can lose the
-        // buffered tail (recovery then resumes from the durable prefix
-        // — the crash fuzz exercises exactly this).
-        break;
-    }
+    // fsync=none: records stay buffered until a buffer fills, a
+    // checkpoint syncs, or a clean shutdown; a kill -9 can lose the
+    // buffered tail (the crash fuzz exercises exactly this). Otherwise
+    // Sync skips writers with nothing new since their last fsync — all
+    // of them under every_record, whose append groups synced already.
+    if (options_.wal_fsync == events::FsyncPolicy::kNone) return;
+    ops_writer_->Sync();
+    for (auto& writer : row_writers_) writer->Sync();
   };
   // Drains run after their mutations applied and were (or will be)
   // acked, so a flush failure must not throw back through the caller:
@@ -474,12 +455,16 @@ uint64_t ProjectServer::WalReopen() {
   ops_writer_.reset();
   // Re-verify the tail: drop any torn suffix a partial flush left, so
   // the reopened writers continue from a CRC-valid prefix.
-  for (const std::string& stream : events::ListWalStreams(options_.wal_dir)) {
-    const events::WalStreamData data =
-        events::ReadWalStream(options_.wal_dir, stream);
-    events::TruncateWalStream(options_.wal_dir, stream, data.valid_end);
-  }
   try {
+    for (const std::string& stream :
+         events::ListWalStreams(options_.wal_dir, fs_)) {
+      const events::WalStreamData data =
+          events::ReadWalStream(options_.wal_dir, stream, fs_);
+      failed_removals_.fetch_add(
+          events::TruncateWalStream(options_.wal_dir, stream, data.valid_end,
+                                    fs_),
+          std::memory_order_relaxed);
+    }
     AttachWal();
     // The fail-soft sinks may have dropped rows while the WAL was
     // failing, so the truncated mirrors can be short of the in-memory
@@ -558,33 +543,36 @@ ProjectServer::CheckpointCut ProjectServer::BuildCheckpointCut(
   for (auto& writer : row_writers_) writer->Sync();
 
   CheckpointCut cut;
+  metadb::CheckpointRequest& request = cut.request;
   const uint64_t base =
       committed_checkpoint_id_.load(std::memory_order_relaxed);
-  cut.delta = mode == CheckpointMode::kDelta && base != 0 &&
-              db_.dirty_tracking_enabled() &&
-              committed_chain_length_.load(std::memory_order_relaxed) <
-                  options_.checkpoint_chain_limit;
-  cut.base_id = cut.delta ? base : 0;
-  cut.op_seq = op_seq_;
-  cut.ops_offset = ops_writer_->logical_end();
-  cut.clock_seconds = clock_.NowSeconds();
-  cut.epoch_next = sharded_->epoch_ceiling();
-  cut.epoch_waves = sharded_->stats().wave_epochs;
-  cut.blueprint_text = blueprint_text_;
-  cut.workspace_text = metadb::SaveWorkspaceText(workspace_);
+  request.delta = mode == CheckpointMode::kDelta && base != 0 &&
+                  db_.dirty_tracking_enabled() &&
+                  committed_chain_length_.load(std::memory_order_relaxed) <
+                      options_.checkpoint_chain_limit;
+  request.base_id = request.delta ? base : 0;
+  request.op_seq = op_seq_;
+  request.ops_offset = ops_writer_->logical_end();
+  request.clock_seconds = clock_.NowSeconds();
+  request.epoch_next = sharded_->epoch_ceiling();
+  request.epoch_waves = sharded_->stats().wave_epochs;
+  request.num_shards = options_.num_shards;
+  request.blueprint_text = blueprint_text_;
+  request.workspace_text = metadb::SaveWorkspaceText(workspace_);
   // Only serialized once versions exist, so pre-versioning WAL
   // directories keep producing byte-identical manifests.
   if (policy_store_.size() > 0) {
-    cut.policy_text = policy_store_.SerializeText();
+    request.policy_text = policy_store_.SerializeText();
   }
   for (const auto& writer : row_writers_) {
-    cut.streams.emplace_back(writer->stream(), writer->logical_end());
+    request.streams.emplace_back(writer->stream(), writer->logical_end());
   }
+  request.sync_directory = options_.wal_fsync != events::FsyncPolicy::kNone;
   // Retention floors: everything below the checkpointed ops offset is
   // covered by the chain; row-stream rows below the writer's last
   // journal reset are invisible to recovery (0 = no reset yet, keep
   // the stream whole).
-  cut.prune_floors.emplace_back("ops", cut.ops_offset);
+  cut.prune_floors.emplace_back("ops", request.ops_offset);
   for (const auto& writer : row_writers_) {
     cut.prune_floors.emplace_back(writer->stream(), writer->last_reset_end());
   }
@@ -600,30 +588,22 @@ ProjectServer::CheckpointCut ProjectServer::BuildCheckpointCut(
 }
 
 uint64_t ProjectServer::RunCheckpointWrite(const CheckpointCut& cut) {
-  metadb::CheckpointRequest request;
-  request.delta = cut.delta;
-  request.base_id = cut.base_id;
-  request.op_seq = cut.op_seq;
-  request.ops_offset = cut.ops_offset;
-  request.clock_seconds = cut.clock_seconds;
-  request.epoch_next = cut.epoch_next;
-  request.epoch_waves = cut.epoch_waves;
-  request.num_shards = options_.num_shards;
+  metadb::CheckpointRequest request = cut.request;
   request.db_text =
-      cut.delta ? metadb::SaveDatabaseDeltaString(cut.snap.db(), cut.dirty)
-                : metadb::SaveDatabaseString(cut.snap.db());
-  request.blueprint_text = cut.blueprint_text;
-  request.workspace_text = cut.workspace_text;
-  request.policy_text = cut.policy_text;
-  request.streams = cut.streams;
-  request.observer = options_.wal_observer;
-  return metadb::WriteWalCheckpoint(options_.wal_dir, request);
+      request.delta ? metadb::SaveDatabaseDeltaString(cut.snap.db(), cut.dirty)
+                    : metadb::SaveDatabaseString(cut.snap.db());
+  const uint64_t id =
+      metadb::WriteWalCheckpoint(options_.wal_dir, request, fs_);
+  CommitCheckpoint(cut, id);
+  PruneAfterCommit(cut);
+  return id;
 }
 
 void ProjectServer::CommitCheckpoint(const CheckpointCut& cut, uint64_t id) {
   committed_checkpoint_id_.store(id, std::memory_order_relaxed);
-  committed_checkpoint_delta_.store(cut.delta, std::memory_order_relaxed);
-  if (cut.delta) {
+  committed_checkpoint_delta_.store(cut.request.delta,
+                                    std::memory_order_relaxed);
+  if (cut.request.delta) {
     committed_chain_length_.fetch_add(1, std::memory_order_relaxed);
   } else {
     committed_chain_base_.store(id, std::memory_order_relaxed);
@@ -641,9 +621,10 @@ void ProjectServer::PruneAfterCommit(const CheckpointCut& cut) {
   for (const auto& [stream, floor] : cut.prune_floors) {
     if (floor == 0) continue;
     try {
-      const events::WalPruneStats stats = events::PruneWalSegments(
-          options_.wal_dir, stream, floor, options_.wal_retain_segments);
-      segments_pruned_.fetch_add(stats.segments_removed,
+      const common::RemovalStats stats =
+          events::PruneWalSegments(options_.wal_dir, stream, floor,
+                                   options_.wal_retain_segments, fs_);
+      segments_pruned_.fetch_add(stats.files_removed,
                                  std::memory_order_relaxed);
       bytes_pruned_.fetch_add(stats.bytes_removed, std::memory_order_relaxed);
       failed_removals_.fetch_add(stats.failed_removals,
@@ -658,9 +639,9 @@ void ProjectServer::PruneAfterCommit(const CheckpointCut& cut) {
   const uint64_t keep_from =
       committed_chain_base_.load(std::memory_order_relaxed);
   if (keep_from > 0) {
-    const metadb::WalGcStats gc =
-        metadb::PruneWalCheckpoints(options_.wal_dir, keep_from);
-    checkpoints_pruned_.fetch_add(gc.artifacts_removed,
+    const common::RemovalStats gc =
+        metadb::PruneWalCheckpoints(options_.wal_dir, keep_from, fs_);
+    checkpoints_pruned_.fetch_add(gc.files_removed,
                                   std::memory_order_relaxed);
     failed_removals_.fetch_add(gc.failed_removals, std::memory_order_relaxed);
   }
@@ -668,10 +649,7 @@ void ProjectServer::PruneAfterCommit(const CheckpointCut& cut) {
 
 uint64_t ProjectServer::CheckpointInline(CheckpointCut&& cut) {
   try {
-    const uint64_t id = RunCheckpointWrite(cut);
-    CommitCheckpoint(cut, id);
-    PruneAfterCommit(cut);
-    return id;
+    return RunCheckpointWrite(cut);
   } catch (const Error&) {
     HandleCheckpointFailure(std::move(cut));
     throw;
@@ -710,8 +688,6 @@ void ProjectServer::CheckpointWorkerLoop() {
     std::exception_ptr error;
     try {
       id = RunCheckpointWrite(cut);
-      CommitCheckpoint(cut, id);
-      PruneAfterCommit(cut);
     } catch (...) {
       error = std::current_exception();
     }
@@ -788,7 +764,7 @@ size_t ProjectServer::RecoverFrom(const std::string& dir) {
     throw Error("recover: refusing to replay this server's own WAL "
                 "directory into itself");
   }
-  const events::WalStreamData ops = events::ReadWalStream(dir, "ops");
+  const events::WalStreamData ops = events::ReadWalStream(dir, "ops", fs_);
   size_t applied = 0;
   for (const events::WalOpEntry& entry : ops.ops) {
     try {

@@ -70,7 +70,8 @@ struct ServerOptions {
   // --- Durability (write-ahead log; see events/wal.hpp) ------------------
 
   /// Directory for WAL segments, checkpoints and manifests. Created on
-  /// demand. Empty (default) disables durability entirely.
+  /// demand; its contents are recovered at construction. Empty
+  /// (default) disables durability entirely.
   std::string wal_dir;
   /// When appended WAL bytes are forced down (none|batch|every_record).
   events::FsyncPolicy wal_fsync = events::FsyncPolicy::kNone;
@@ -79,10 +80,10 @@ struct ServerOptions {
   /// Take a checkpoint automatically every N logged operations
   /// (0 = only explicit WalCheckpoint / wire "wal-checkpoint" calls).
   size_t checkpoint_every_ops = 0;
-  /// Recover from wal_dir contents at construction (default on).
-  bool auto_recover = true;
-  /// Crash-harness hook observing durable extents; not owned.
-  events::WalAppendObserver* wal_observer = nullptr;
+  /// Every file operation on wal_dir goes through this file system.
+  /// Not owned, must outlive the server; null (default) means POSIX.
+  /// Tests substitute one that records or fails operations.
+  common::FileSystem* file_system = nullptr;
   /// WAL append/flush/fsync failures retry on this jittered-exponential
   /// schedule before the server trips into degraded read-only mode
   /// (attempts = 0 degrades on the first failure).
@@ -123,11 +124,11 @@ struct ServerHealth {
   uint64_t checkpoint_retries = 0;   ///< Backoff-gated checkpoint re-arms.
   uint64_t heals = 0;                ///< Successful WalReopen() calls.
   /// Garbage collection (segment retention, checkpoint pruning, startup
-  /// sweeps) has observed fs::remove failures: disk is leaking and
+  /// sweeps) has observed failed removals: disk is leaking and
   /// pruning is falling behind. A warning, not degraded mode — the
   /// durable state itself is intact.
   bool prune_behind = false;
-  uint64_t failed_removals = 0;      ///< fs::remove failures across GC paths.
+  uint64_t failed_removals = 0;      ///< Failed removals across GC paths.
 };
 
 /// Durability-state snapshot (the wire "wal-status" command's payload).
@@ -157,7 +158,7 @@ struct WalStatus {
   uint64_t bytes_pruned = 0;        ///< Bytes those segments held.
   uint64_t checkpoints_pruned = 0;  ///< Superseded manifest/checkpoint files.
   uint64_t gc_artifacts_removed = 0;  ///< Startup-sweep removals (tmp, orphans).
-  uint64_t failed_removals = 0;     ///< fs::remove failures across GC paths.
+  uint64_t failed_removals = 0;     ///< Failed removals across GC paths.
 };
 
 /// Facade bundling the tracking system's moving parts.
@@ -382,24 +383,15 @@ class ProjectServer {
   // --- Incremental / background checkpointing ------------------------------
 
   /// Everything a checkpoint write needs, frozen on the apply thread at
-  /// a drain-quiescent point. The snapshot pins the database version
-  /// (background mode) or wraps it live (inline mode); serialization
-  /// happens wherever the write runs, so with background checkpointing
-  /// on the apply thread never pays the dump cost.
+  /// a drain-quiescent point: the request minus its database text. The
+  /// snapshot pins the database version (background mode) or wraps it
+  /// live (inline mode); serialization happens wherever the write runs,
+  /// so with background checkpointing on the apply thread never pays
+  /// the dump cost.
   struct CheckpointCut {
-    bool delta = false;
-    uint64_t base_id = 0;
-    uint64_t op_seq = 0;
-    uint64_t ops_offset = 0;
-    int64_t clock_seconds = 0;
-    uint64_t epoch_next = 0;
-    uint64_t epoch_waves = 0;
+    metadb::CheckpointRequest request;
     metadb::Snapshot snap;
     metadb::DirtySet dirty;
-    std::string blueprint_text;
-    std::string workspace_text;
-    std::string policy_text;
-    std::vector<std::pair<std::string, uint64_t>> streams;
     /// Segment-retention floors captured at cut time: the checkpoint
     /// ops offset for "ops", each row writer's last-reset end (0 keeps
     /// the stream untouched). Applied only after the write commits.
@@ -414,8 +406,8 @@ class ProjectServer {
   CheckpointCut BuildCheckpointCut(CheckpointMode mode);
 
   /// Write half (worker thread in background mode): serializes the
-  /// database from the cut's snapshot and writes checkpoint files +
-  /// manifest. Returns the new checkpoint id.
+  /// database from the cut's snapshot, writes checkpoint files +
+  /// manifest, then commits and prunes. Returns the new checkpoint id.
   uint64_t RunCheckpointWrite(const CheckpointCut& cut);
 
   /// Publishes a committed checkpoint: chain/floor atomics, counter
@@ -478,6 +470,7 @@ class ProjectServer {
 
   std::string project_name_;
   ServerOptions options_;
+  common::FileSystem& fs_;  ///< options_.file_system, or POSIX.
   SimClock clock_;
   metadb::MetaDatabase db_;
   std::unique_ptr<ShardedEngine> sharded_;

@@ -152,9 +152,7 @@ void SessionMux::ApplyLoop() {
     std::string response = pending.session->writer_.HandleLine(pending.line);
 
     // ...and the next epoch makes it visible to every reader at once.
-    const uint64_t epoch = options_.publish_each_mutation
-                               ? server_.database().PublishSnapshot().epoch()
-                               : server_.database().snapshot_epoch();
+    const uint64_t epoch = server_.database().PublishSnapshot().epoch();
 
     {
       std::lock_guard<std::mutex> lock(log_mutex_);

@@ -58,12 +58,6 @@ struct SessionMuxOptions {
   /// mutations with an in-band "busy: ..." response.
   size_t mutation_queue_capacity = 256;
 
-  /// Publish a snapshot epoch after every applied mutation (the
-  /// default; gives the differential tests a deterministic epoch per
-  /// mutation). Off, readers keep answering from the last explicit
-  /// publish.
-  bool publish_each_mutation = true;
-
   /// Bounded retry when the mutation queue is full. With attempts = 0
   /// (the default) a full queue rejects immediately ("busy: ...");
   /// with attempts = N the submitting session waits for queue space

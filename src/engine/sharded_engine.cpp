@@ -859,11 +859,13 @@ ShardedEngine::ShardedEngine(metadb::MetaDatabase& db, SimClock& clock,
       worker_count = std::min<size_t>(num_shards_, cores);
     }
     worker_count = std::min<size_t>(worker_count, num_shards_);
-    // Lane stealing: shared per-shard claim stores replace the
-    // lane-local claim sets (any executor may consult them) and every
-    // worker gets a private scan-mode steal engine. A single worker
-    // never observes a busy lane, so stealing is moot below two.
-    stealing_active_ = options_.lane_stealing && worker_count > 1;
+    // Lane stealing: idle workers steal queued cross-shard sub-wave
+    // tasks (never top-level waves, whose single-consumer ring keeps
+    // per-shard FIFO) and run them on a private scan-mode steal engine.
+    // Shared per-shard claim stores, replacing the lane-local claim
+    // sets, arbitrate exactly-once; per-OID delivery locks serialize
+    // same-OID rules. A single worker never observes a busy lane.
+    stealing_active_ = worker_count > 1;
     if (stealing_active_) {
       claim_stores_.reserve(num_shards_);
       for (uint32_t shard = 0; shard < num_shards_; ++shard) {

@@ -155,15 +155,6 @@ struct ShardedEngineOptions {
   /// giant task.
   size_t max_batch_seeds = 1024;
 
-  /// Let idle workers steal queued cross-shard sub-wave tasks from busy
-  /// lanes and execute them on a per-worker steal engine. Top-level
-  /// waves are never stolen (per-shard FIFO is preserved structurally:
-  /// they live in the lane's single-consumer ring); epoch-tagged
-  /// sub-waves may run anywhere because exactly-once is arbitrated by
-  /// the owning shard's shared claim store and same-OID rule execution
-  /// is serialized by per-OID delivery locks. Threaded mode only.
-  bool lane_stealing = true;
-
   /// Options forwarded to every per-shard engine.
   EngineOptions engine;
 };
@@ -373,7 +364,7 @@ class ShardedEngine {
   /// Per-shard shared claim stores (threaded N > 1 only; deterministic
   /// and 1-shard runs keep lane-local claims inside the routers).
   std::vector<std::unique_ptr<ClaimStore>> claim_stores_;
-  /// Per-worker steal engines (threaded, lane_stealing): scan-mode
+  /// Per-worker steal engines (threaded, two or more workers): scan-mode
   /// expansion over the shared read-only link graph, private journal
   /// and stats merged into the engine-wide views.
   std::vector<std::unique_ptr<StealContext>> steal_contexts_;

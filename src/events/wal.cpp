@@ -1,18 +1,13 @@
 #include "events/wal.hpp"
 
-#include <fcntl.h>
-#include <unistd.h>
-
 #include <cerrno>
 
 #include <algorithm>
 #include <array>
 #include <cstdio>
 #include <cstring>
-#include <filesystem>
 #include <utility>
 
-#include "common/errno_string.hpp"
 #include "common/error.hpp"
 #include "common/failpoint.hpp"
 #include "common/strings.hpp"
@@ -185,30 +180,6 @@ EventMessage DecodeEvent(ByteReader& reader) {
   return event;
 }
 
-/// Reads a whole file into `out`. Returns false (with `error` set) on
-/// any I/O failure.
-bool ReadFileBytes(const std::string& path, std::string& out,
-                   std::string& error) {
-  std::FILE* file = std::fopen(path.c_str(), "rb");
-  if (file == nullptr) {
-    error = "cannot open " + path;
-    return false;
-  }
-  std::array<char, 1u << 16> buffer;
-  out.clear();
-  size_t got = 0;
-  while ((got = std::fread(buffer.data(), 1, buffer.size(), file)) > 0) {
-    out.append(buffer.data(), got);
-  }
-  const bool failed = std::ferror(file) != 0;
-  std::fclose(file);
-  if (failed) {
-    error = "read error on " + path;
-    return false;
-  }
-  return true;
-}
-
 /// Parses a segment header into `info`. Returns false with info.error
 /// set when the header is short, mismatched or CRC-corrupt.
 bool ParseSegmentHeader(const std::string& bytes, WalSegmentInfo& info) {
@@ -240,27 +211,25 @@ bool ParseSegmentHeader(const std::string& bytes, WalSegmentInfo& info) {
   return true;
 }
 
-/// Segment files of `stream` in `dir`, sorted by index.
-std::vector<std::pair<uint64_t, std::string>> ListSegments(
-    const std::string& dir, const std::string& stream) {
-  namespace fs = std::filesystem;
-  std::vector<std::pair<uint64_t, std::string>> segments;
-  std::error_code ec;
-  const std::string prefix = stream + "-";
-  for (const auto& entry : fs::directory_iterator(dir, ec)) {
-    if (!entry.is_regular_file(ec)) continue;
-    const std::string name = entry.path().filename().string();
-    if (!StartsWith(name, prefix) || !EndsWith(name, ".wal")) continue;
-    const std::string digits =
-        name.substr(prefix.size(), name.size() - prefix.size() - 4);
-    if (digits.empty() ||
-        digits.find_first_not_of("0123456789") != std::string::npos) {
-      continue;
-    }
-    segments.emplace_back(std::stoull(digits), entry.path().string());
+/// Reads only a segment's header and size (info.file_bytes). False, with
+/// info.error set, when either is unreadable or the header is invalid.
+bool ReadSegmentHead(common::FileSystem& fs, const std::string& path,
+                     WalSegmentInfo& info) {
+  std::string head;
+  int err = fs.ReadFile(path, head, kWalHeaderSize);
+  if (err == 0) err = fs.FileSize(path, info.file_bytes);
+  if (err != 0) {
+    info.error = "cannot read " + path + ": " + common::ErrnoString(err);
+    return false;
   }
-  std::sort(segments.begin(), segments.end());
-  return segments;
+  return ParseSegmentHeader(head, info);
+}
+
+/// Segment files of `stream` in `dir`, sorted by index.
+std::vector<common::NumberedFile> ListSegments(common::FileSystem& fs,
+                                               const std::string& dir,
+                                               const std::string& stream) {
+  return fs.ListNumbered(dir, stream + "-", ".wal");
 }
 
 }  // namespace
@@ -531,27 +500,23 @@ WalOpRecord DecodeWalOp(WalRecordType type, std::string_view payload) {
 
 // --- Writer ----------------------------------------------------------------
 
-WalWriter::WalWriter(WalWriterOptions options) : options_(std::move(options)) {
+WalWriter::WalWriter(WalWriterOptions options)
+    : options_(std::move(options)),
+      fs_(options_.fs != nullptr ? *options_.fs : common::PosixFileSystem()) {
   if (options_.dir.empty()) throw Error("wal: empty directory");
   if (options_.stream.empty()) throw Error("wal: empty stream name");
   // Continue where the stream left off: a brand-new segment right after
   // the last one on disk, so this writer's symbol table starts fresh.
-  const auto segments = ListSegments(options_.dir, options_.stream);
+  const auto segments = ListSegments(fs_, options_.dir, options_.stream);
   if (!segments.empty()) {
-    const auto& [last_index, last_path] = segments.back();
-    std::string bytes;
-    std::string io_error;
-    if (!ReadFileBytes(last_path, bytes, io_error)) {
-      throw Error("wal: cannot continue stream '" + options_.stream +
-                  "': " + io_error);
-    }
+    const common::NumberedFile& last = segments.back();
     WalSegmentInfo info;
-    if (!ParseSegmentHeader(bytes, info)) {
+    if (!ReadSegmentHead(fs_, last.path, info)) {
       throw Error("wal: cannot continue stream '" + options_.stream + "': " +
-                  last_path + ": " + info.error);
+                  last.path + ": " + info.error);
     }
-    segment_index_ = last_index + 1;
-    base_offset_ = info.base_offset + bytes.size();
+    segment_index_ = last.number + 1;
+    base_offset_ = info.base_offset + info.file_bytes;
   } else {
     segment_index_ = 1;
     base_offset_ = 0;
@@ -565,19 +530,22 @@ WalWriter::~WalWriter() {
   } catch (const Error&) {
     // Destructors must not throw; a failed final flush or sync surfaces
     // as a torn tail on the next recovery, which is exactly what the
-    // format is built to absorb. The fd must not leak either way.
-    if (fd_ >= 0) ::close(fd_);
+    // format is built to absorb. The handle must not leak either way,
+    // and a close error has nowhere to go from here.
+    if (handle_ >= 0) static_cast<void>(fs_.Close(handle_));
   }
 }
 
 void WalWriter::OpenSegment() {
   path_ = options_.dir + "/" +
           WalSegmentFileName(options_.stream, segment_index_);
-  fd_ = ::open(path_.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
-  if (fd_ < 0) {
+  if (const int err = fs_.Create(path_, handle_); err != 0) {
+    handle_ = -1;
     throw WalIoError("wal: cannot create segment " + path_ + ": " +
-                     common::ErrnoString(errno));
+                     common::ErrnoString(err));
   }
+  // The first Sync makes the new directory entry durable.
+  directory_unsynced_ = options_.fsync != FsyncPolicy::kNone;
   write_buffer_.clear();
   write_buffer_.reserve(kWalWriteBufferBytes);
   stream_symbols_.clear();
@@ -594,7 +562,7 @@ void WalWriter::OpenSegment() {
 }
 
 void WalWriter::CloseSegment() {
-  if (fd_ < 0) return;
+  if (handle_ < 0) return;
   // A failed flush or sync throws with the segment still open (its
   // unwritten tail buffered), so a retried append resumes on it.
   if (options_.fsync != FsyncPolicy::kNone) {
@@ -602,9 +570,7 @@ void WalWriter::CloseSegment() {
   } else {
     Flush();
   }
-  const int fd = std::exchange(fd_, -1);
-  if (::close(fd) != 0) {
-    const int err = errno;
+  if (const int err = fs_.Close(std::exchange(handle_, -1)); err != 0) {
     throw WalIoError("wal: close failed on " + path_ + ": " +
                      common::ErrnoString(err));
   }
@@ -620,7 +586,7 @@ void WalWriter::MaybeRoll() {
   // CloseSegment flushes (and syncs unless fsync=none); a failure
   // leaves this segment open with the unwritten tail still buffered, so
   // a retried append can resume. A failed close has already released
-  // the fd, so the retry rolls straight onto the next segment.
+  // the handle, so the retry rolls straight onto the next segment.
   CloseSegment();
   base_offset_ += file_bytes_;
   ++segment_index_;
@@ -630,7 +596,7 @@ void WalWriter::MaybeRoll() {
 void WalWriter::WriteRaw(const void* data, size_t size) {
   write_buffer_.append(static_cast<const char*>(data), size);
   file_bytes_ += size;
-  dirty_ = true;
+  unsynced_ = true;
   if (write_buffer_.size() >= kWalWriteBufferBytes) Flush();
 }
 
@@ -657,7 +623,7 @@ void WalWriter::EndRecord(size_t mark) {
   PutU32(tail, crc);
   write_buffer_.append(reinterpret_cast<const char*>(tail), sizeof tail);
   file_bytes_ += payload_size + kWalFrameOverhead;
-  dirty_ = true;
+  unsynced_ = true;
   // Count before the spill check below: the frame is committed to the
   // buffer even when the flush it triggers fails.
   ++frames_appended_;
@@ -812,31 +778,13 @@ void WalWriter::OnClear(const EventJournal& /*journal*/) {
   journal_symbol_cache_.clear();
 }
 
-void WalWriter::AppendOp(const WalOpRecord& op) {
+template <typename Encode>
+void WalWriter::AppendOpRecord(WalRecordType type, Encode&& encode) {
   CheckAppendFailpoint();
   MaybeRoll();
-  WriteRecord(op.type, EncodeWalOp(op));
-  EndAppendGroup();
-}
-
-void WalWriter::AppendCheckInOp(uint64_t op_seq, std::string_view block,
-                                std::string_view view,
-                                std::string_view content,
-                                std::string_view user) {
-  CheckAppendFailpoint();
-  MaybeRoll();
-  const size_t mark = BeginRecord(WalRecordType::kOpCheckIn);
-  EncodeCheckInPayload(write_buffer_, op_seq, block, view, content, user);
-  EndRecord(mark);
-  EndAppendGroup();
-}
-
-void WalWriter::AppendEventOp(uint64_t op_seq, const EventMessage& event) {
-  CheckAppendFailpoint();
-  MaybeRoll();
-  const size_t mark = BeginRecord(WalRecordType::kOpEvent);
+  const size_t mark = BeginRecord(type);
   try {
-    EncodeEventPayload(write_buffer_, op_seq, event);
+    encode(write_buffer_);
   } catch (...) {
     // Drop the half-open frame so the stream stays well-formed.
     write_buffer_.resize(mark);
@@ -846,43 +794,50 @@ void WalWriter::AppendEventOp(uint64_t op_seq, const EventMessage& event) {
   EndAppendGroup();
 }
 
+void WalWriter::AppendOp(const WalOpRecord& op) {
+  AppendOpRecord(op.type, [&](std::string& out) { out += EncodeWalOp(op); });
+}
+
+void WalWriter::AppendCheckInOp(uint64_t op_seq, std::string_view block,
+                                std::string_view view,
+                                std::string_view content,
+                                std::string_view user) {
+  AppendOpRecord(WalRecordType::kOpCheckIn, [&](std::string& out) {
+    EncodeCheckInPayload(out, op_seq, block, view, content, user);
+  });
+}
+
+void WalWriter::AppendEventOp(uint64_t op_seq, const EventMessage& event) {
+  AppendOpRecord(WalRecordType::kOpEvent, [&](std::string& out) {
+    EncodeEventPayload(out, op_seq, event);
+  });
+}
+
 void WalWriter::AppendLinkOp(uint64_t op_seq, uint8_t link_kind,
                              const metadb::Oid& from, const metadb::Oid& to) {
-  CheckAppendFailpoint();
-  MaybeRoll();
-  const size_t mark = BeginRecord(WalRecordType::kOpLink);
-  EncodeLinkPayload(write_buffer_, op_seq, link_kind, from, to);
-  EndRecord(mark);
-  EndAppendGroup();
+  AppendOpRecord(WalRecordType::kOpLink, [&](std::string& out) {
+    EncodeLinkPayload(out, op_seq, link_kind, from, to);
+  });
 }
 
 void WalWriter::AppendBlueprintOp(uint64_t op_seq, std::string_view text) {
-  CheckAppendFailpoint();
-  MaybeRoll();
-  const size_t mark = BeginRecord(WalRecordType::kOpBlueprint);
-  EncodeBlueprintPayload(write_buffer_, op_seq, text);
-  EndRecord(mark);
-  EndAppendGroup();
+  AppendOpRecord(WalRecordType::kOpBlueprint, [&](std::string& out) {
+    EncodeBlueprintPayload(out, op_seq, text);
+  });
 }
 
 void WalWriter::AppendClockOp(uint64_t op_seq, int64_t clock_seconds) {
-  CheckAppendFailpoint();
-  MaybeRoll();
-  const size_t mark = BeginRecord(WalRecordType::kOpClock);
-  EncodeClockPayload(write_buffer_, op_seq, clock_seconds);
-  EndRecord(mark);
-  EndAppendGroup();
+  AppendOpRecord(WalRecordType::kOpClock, [&](std::string& out) {
+    EncodeClockPayload(out, op_seq, clock_seconds);
+  });
 }
 
 void WalWriter::AppendPolicyProposeOp(uint64_t op_seq, std::string_view text,
                                       std::string_view author,
                                       std::string_view message) {
-  CheckAppendFailpoint();
-  MaybeRoll();
-  const size_t mark = BeginRecord(WalRecordType::kOpPolicyPropose);
-  EncodePolicyProposePayload(write_buffer_, op_seq, text, author, message);
-  EndRecord(mark);
-  EndAppendGroup();
+  AppendOpRecord(WalRecordType::kOpPolicyPropose, [&](std::string& out) {
+    EncodePolicyProposePayload(out, op_seq, text, author, message);
+  });
 }
 
 void WalWriter::AppendPolicyVersionOp(WalRecordType type, uint64_t op_seq,
@@ -893,62 +848,40 @@ void WalWriter::AppendPolicyVersionOp(WalRecordType type, uint64_t op_seq,
                 std::to_string(static_cast<int>(type)) +
                 " carries no version id");
   }
-  CheckAppendFailpoint();
-  MaybeRoll();
-  const size_t mark = BeginRecord(type);
-  EncodePolicyVersionPayload(write_buffer_, op_seq, policy_version);
-  EndRecord(mark);
-  EndAppendGroup();
+  AppendOpRecord(type, [&](std::string& out) {
+    EncodePolicyVersionPayload(out, op_seq, policy_version);
+  });
 }
 
 void WalWriter::AppendPolicyRollbackOp(uint64_t op_seq) {
-  CheckAppendFailpoint();
-  MaybeRoll();
-  const size_t mark = BeginRecord(WalRecordType::kOpPolicyRollback);
-  EncodePolicyRollbackPayload(write_buffer_, op_seq);
-  EndRecord(mark);
-  EndAppendGroup();
+  AppendOpRecord(WalRecordType::kOpPolicyRollback, [&](std::string& out) {
+    EncodePolicyRollbackPayload(out, op_seq);
+  });
 }
 
 void WalWriter::Flush() {
-  if (fd_ < 0 || !dirty_) return;
+  if (handle_ < 0 || write_buffer_.empty()) return;
   // "wal.flush" failpoint: fail outright (error / errno), or tear the
   // write — only `short:<n>` bytes reach the file before the failure,
   // exactly what a disk filling up mid-write leaves behind.
   bool inject_fail = false;
   int inject_errno = EIO;
-  size_t inject_cap = 0;
+  size_t ask = write_buffer_.size();
   common::FailpointHit hit;
   if (DAMOCLES_FAILPOINT("wal.flush", &hit)) {
     inject_fail = true;
     if (hit.action == common::FailpointAction::kErrno) {
       inject_errno = hit.error_number;
     }
-    if (hit.action == common::FailpointAction::kShortWrite) {
-      inject_cap = static_cast<size_t>(hit.param);
-    }
+    ask = hit.action == common::FailpointAction::kShortWrite
+              ? std::min(ask, static_cast<size_t>(hit.param))
+              : 0;
   }
-  const char* data = write_buffer_.data();
-  size_t left = write_buffer_.size();
   size_t written = 0;
-  while (left > 0) {
-    size_t ask = left;
-    if (inject_fail) {
-      if (inject_cap <= written) break;
-      ask = std::min(ask, inject_cap - written);
-    }
-    const ssize_t wrote = ::write(fd_, data, ask);
-    if (wrote < 0) {
-      if (errno == EINTR) continue;
-      break;
-    }
-    if (wrote == 0) break;
-    data += wrote;
-    left -= static_cast<size_t>(wrote);
-    written += static_cast<size_t>(wrote);
-  }
-  if (left > 0) {
-    const int err = inject_fail ? inject_errno : errno;
+  const int io_errno =
+      ask == 0 ? 0 : fs_.Append(handle_, write_buffer_.data(), ask, written);
+  if (written < write_buffer_.size()) {
+    const int err = inject_fail ? inject_errno : io_errno;
     // Consume what did reach the file so a retry after backoff starts
     // at the first unwritten byte — re-writing the whole buffer would
     // splice duplicate bytes mid-stream and corrupt every later frame.
@@ -959,15 +892,19 @@ void WalWriter::Flush() {
                      (inject_fail ? " (injected)" : ""));
   }
   write_buffer_.clear();
-  dirty_ = false;
-  if (options_.observer != nullptr) {
-    options_.observer->OnDurableExtent(path_, file_bytes_);
-  }
 }
 
 void WalWriter::Sync() {
-  if (fd_ < 0) return;
+  if (handle_ < 0) return;
   Flush();
+  if (directory_unsynced_) {
+    if (const int err = fs_.SyncDirectory(options_.dir); err != 0) {
+      throw WalIoError("wal: directory sync failed on " + options_.dir +
+                       " for " + path_ + ": " + common::ErrnoString(err));
+    }
+    directory_unsynced_ = false;
+  }
+  if (!unsynced_) return;
   common::FailpointHit hit;
   if (DAMOCLES_FAILPOINT("wal.fsync", &hit)) {
     const int err = hit.action == common::FailpointAction::kErrno
@@ -976,59 +913,60 @@ void WalWriter::Sync() {
     throw WalIoError("wal: fsync failed on " + path_ + ": " +
                      common::ErrnoString(err) + " (injected)");
   }
-  if (::fsync(fd_) != 0) {
+  if (const int err = fs_.Sync(handle_); err != 0) {
     throw WalIoError("wal: fsync failed on " + path_ + ": " +
-                     common::ErrnoString(errno));
+                     common::ErrnoString(err));
   }
+  unsynced_ = false;
 }
 
 // --- Reader ----------------------------------------------------------------
 
 std::string WalSegmentFileName(const std::string& stream, uint64_t index) {
-  std::string digits = std::to_string(index);
-  if (digits.size() < 6) digits.insert(0, 6 - digits.size(), '0');
-  return stream + "-" + digits + ".wal";
+  return common::NumberedFileName(stream + "-", index, ".wal");
 }
 
-std::vector<std::string> ListWalStreams(const std::string& dir) {
-  namespace fs = std::filesystem;
+std::vector<std::string> ListWalStreams(const std::string& dir,
+                                        common::FileSystem& fs) {
   std::vector<std::string> streams;
-  std::error_code ec;
-  for (const auto& entry : fs::directory_iterator(dir, ec)) {
-    if (!entry.is_regular_file(ec)) continue;
-    const std::string name = entry.path().filename().string();
-    if (!EndsWith(name, ".wal")) continue;
-    const std::string stem = name.substr(0, name.size() - 4);
-    const size_t dash = stem.rfind('-');
-    if (dash == std::string::npos || dash == 0) continue;
-    const std::string digits = stem.substr(dash + 1);
-    if (digits.empty() ||
-        digits.find_first_not_of("0123456789") != std::string::npos) {
-      continue;
+  std::vector<std::string> names;
+  if (fs.ListDirectory(dir, names) != 0) return streams;
+  for (const std::string& name : names) {
+    // "<stream>-<digits>.wal"; stream names may contain dashes.
+    const size_t dash = name.rfind('-');
+    uint64_t index = 0;
+    if (dash != std::string::npos && dash != 0 &&
+        common::ParseNumberedName(std::string_view(name).substr(dash), "-",
+                                  ".wal", index)) {
+      streams.push_back(name.substr(0, dash));
     }
-    streams.push_back(stem.substr(0, dash));
   }
   std::sort(streams.begin(), streams.end());
   streams.erase(std::unique(streams.begin(), streams.end()), streams.end());
   return streams;
 }
 
-WalStreamData ReadWalStream(const std::string& dir, const std::string& stream) {
+WalStreamData ReadWalStream(const std::string& dir, const std::string& stream,
+                            common::FileSystem& fs) {
   WalStreamData data;
-  const auto segments = ListSegments(dir, stream);
+  const auto segments = ListSegments(fs, dir, stream);
   bool stopped = false;
   std::vector<std::string> symbols;  // Segment-local, dense from 0.
 
   for (size_t seg = 0; seg < segments.size(); ++seg) {
-    const auto& [index, path] = segments[seg];
+    const std::string& path = segments[seg].path;
     WalSegmentInfo info;
     info.path = path;
-    info.index = index;
+    info.index = segments[seg].number;
 
     std::string bytes;
-    std::string io_error;
-    const bool read_ok = ReadFileBytes(path, bytes, io_error);
+    const int read_errno = fs.ReadFile(path, bytes);
+    const bool read_ok = read_errno == 0;
     info.file_bytes = bytes.size();
+    if (!read_ok) {
+      info.error =
+          "cannot read " + path + ": " + common::ErrnoString(read_errno);
+    }
 
     if (stopped) {
       if (read_ok) ParseSegmentHeader(bytes, info);
@@ -1038,7 +976,6 @@ WalStreamData ReadWalStream(const std::string& dir, const std::string& stream) {
     }
 
     if (!read_ok || !ParseSegmentHeader(bytes, info)) {
-      if (!read_ok) info.error = io_error;
       data.torn = true;
       data.error = path + ": " + info.error;
       data.segments.push_back(std::move(info));
@@ -1059,9 +996,10 @@ WalStreamData ReadWalStream(const std::string& dir, const std::string& stream) {
       data.resets.clear();
       data.ops.clear();
       for (WalSegmentInfo& prior : data.segments) {
+        prior.orphaned = true;
         if (prior.error.empty()) {
           prior.error = "orphaned prefix (pruned gap below segment " +
-                        std::to_string(index) + ")";
+                        std::to_string(info.index) + ")";
         }
       }
       data.valid_end = info.base_offset;
@@ -1185,74 +1123,56 @@ WalStreamData ReadWalStream(const std::string& dir, const std::string& stream) {
   return data;
 }
 
-void TruncateWalStream(const std::string& dir, const std::string& stream,
-                       uint64_t logical_offset, size_t* failed_removals) {
-  namespace fs = std::filesystem;
-  const auto segments = ListSegments(dir, stream);
+size_t TruncateWalStream(const std::string& dir, const std::string& stream,
+                         uint64_t logical_offset, common::FileSystem& fs) {
+  common::RemovalStats stats;
   bool delete_rest = false;
-  const auto remove_counted = [failed_removals](const std::string& path) {
-    std::error_code ec;
-    fs::remove(path, ec);
-    if (ec && failed_removals != nullptr) ++*failed_removals;
-  };
-  for (const auto& [index, path] : segments) {
-    if (delete_rest) {
-      remove_counted(path);
-      continue;
-    }
-    std::string bytes;
-    std::string io_error;
+  for (const common::NumberedFile& segment : ListSegments(fs, dir, stream)) {
+    const std::string& path = segment.path;
     WalSegmentInfo info;
-    if (!ReadFileBytes(path, bytes, io_error) ||
-        !ParseSegmentHeader(bytes, info)) {
-      // Unreadable header: nothing past this point is recoverable.
-      remove_counted(path);
+    // Past the cut, or an unreadable header: nothing from here on is
+    // recoverable.
+    if (delete_rest || !ReadSegmentHead(fs, path, info) ||
+        info.base_offset >= logical_offset) {
+      fs.RemoveCounted(path, stats);
       delete_rest = true;
       continue;
     }
-    const uint64_t end = info.base_offset + bytes.size();
-    if (info.base_offset >= logical_offset) {
-      remove_counted(path);
-      delete_rest = true;
-    } else if (end > logical_offset) {
+    if (info.base_offset + info.file_bytes > logical_offset) {
       const uint64_t keep = logical_offset - info.base_offset;
       if (keep < kWalHeaderSize) {
-        remove_counted(path);
-      } else {
-        std::error_code ec;
-        fs::resize_file(path, keep, ec);
-        if (ec) {
-          throw Error("wal: cannot truncate " + path + ": " + ec.message());
-        }
+        fs.RemoveCounted(path, stats);
+      } else if (const int err = fs.Truncate(path, keep); err != 0) {
+        throw Error("wal: cannot truncate " + path + ": " +
+                    common::ErrnoString(err));
       }
       delete_rest = true;
     }
   }
+  return stats.failed_removals;
 }
 
-WalPruneStats PruneWalSegments(const std::string& dir,
-                               const std::string& stream,
-                               uint64_t floor_offset, int retain_segments) {
-  namespace fs = std::filesystem;
-  WalPruneStats stats;
+common::RemovalStats PruneWalSegments(const std::string& dir,
+                                      const std::string& stream,
+                                      uint64_t floor_offset,
+                                      int retain_segments,
+                                      common::FileSystem& fs) {
+  common::RemovalStats stats;
   if (retain_segments < 0) return stats;  // Retention disabled.
-  const auto segments = ListSegments(dir, stream);
+  const auto segments = ListSegments(fs, dir, stream);
   if (segments.size() <= 1) return stats;  // Never touch the newest segment.
 
   // The prunable prefix: consecutive leading segments wholly below the
   // committed floor. Stop at the first segment recovery might need.
-  std::vector<std::pair<std::string, uint64_t>> prunable;  // (path, bytes)
+  std::vector<WalSegmentInfo> prunable;
   for (size_t i = 0; i + 1 < segments.size(); ++i) {
-    const auto& [index, path] = segments[i];
-    std::string bytes;
-    std::string io_error;
     WalSegmentInfo info;
-    if (!ReadFileBytes(path, bytes, io_error) ||
-        !ParseSegmentHeader(bytes, info)) {
+    info.path = segments[i].path;
+    if (!ReadSegmentHead(fs, info.path, info)) {
       break;  // Unreadable header: leave it for recovery to judge.
     }
-    if (info.base_offset + bytes.size() > floor_offset) break;
-    prunable.emplace_back(path, bytes.size());
+    if (info.base_offset + info.file_bytes > floor_offset) break;
+    prunable.push_back(std::move(info));
   }
   if (prunable.size() <= static_cast<size_t>(retain_segments)) return stats;
 
@@ -1261,60 +1181,24 @@ WalPruneStats PruneWalSegments(const std::string& dir,
   const size_t remove_count =
       prunable.size() - static_cast<size_t>(retain_segments);
   for (size_t i = 0; i < remove_count; ++i) {
-    std::error_code ec;
     common::FailpointHit hit;
     if (DAMOCLES_FAILPOINT("wal.prune", &hit)) {
-      throw WalIoError("wal: prune failed on " + prunable[i].first +
+      throw WalIoError("wal: prune failed on " + prunable[i].path +
                        ": injected failure (failpoint wal.prune)");
     }
-    if (fs::remove(prunable[i].first, ec)) {
-      ++stats.segments_removed;
-      stats.bytes_removed += prunable[i].second;
-    } else if (ec) {
-      ++stats.failed_removals;
-    }
+    fs.RemoveCounted(prunable[i].path, stats, prunable[i].file_bytes);
   }
   return stats;
 }
 
-WalPruneStats RemoveOrphanedWalPrefix(const std::string& dir,
-                                      const std::string& stream) {
-  namespace fs = std::filesystem;
-  WalPruneStats stats;
-  const auto segments = ListSegments(dir, stream);
-  if (segments.size() <= 1) return stats;
+namespace {
 
-  // Find the last forward gap in the chain; everything below it is the
-  // orphaned prefix ReadWalStream's gap handling already skips.
-  size_t first_reachable = 0;
-  uint64_t expected_end = 0;
-  bool have_end = false;
-  std::vector<uint64_t> sizes(segments.size(), 0);
-  for (size_t i = 0; i < segments.size(); ++i) {
-    const auto& [index, path] = segments[i];
-    std::string bytes;
-    std::string io_error;
-    WalSegmentInfo info;
-    if (!ReadFileBytes(path, bytes, io_error) ||
-        !ParseSegmentHeader(bytes, info)) {
-      break;  // Torn tail territory: recovery's truncation owns it.
-    }
-    sizes[i] = bytes.size();
-    if (have_end && info.base_offset > expected_end) first_reachable = i;
-    expected_end = info.base_offset + bytes.size();
-    have_end = true;
-  }
-  for (size_t i = 0; i < first_reachable; ++i) {
-    std::error_code ec;
-    if (fs::remove(segments[i].second, ec)) {
-      ++stats.segments_removed;
-      stats.bytes_removed += sizes[i];
-    } else if (ec) {
-      ++stats.failed_removals;
-    }
-  }
-  return stats;
+/// The last component of `path`.
+std::string FileName(const std::string& path) {
+  return path.substr(path.rfind('/') + 1);
 }
+
+}  // namespace
 
 std::string FormatWalInspection(const std::string& dir, bool* any_torn) {
   if (any_torn != nullptr) *any_torn = false;
@@ -1333,7 +1217,7 @@ std::string FormatWalInspection(const std::string& dir, bool* any_torn) {
            std::to_string(data.valid_end);
     out += data.torn ? " (TORN)\n" : "\n";
     for (const WalSegmentInfo& info : data.segments) {
-      out += "  " + std::filesystem::path(info.path).filename().string() + ": ";
+      out += "  " + FileName(info.path) + ": ";
       if (!info.header_valid) {
         out += "INVALID HEADER (" + info.error + ")\n";
         continue;
@@ -1426,8 +1310,7 @@ std::string FormatWalInspectionJson(const std::string& dir, bool* any_torn) {
     for (size_t i = 0; i < data.segments.size(); ++i) {
       const WalSegmentInfo& info = data.segments[i];
       if (i != 0) out += ", ";
-      out += "{\"file\": " +
-             JsonQuote(std::filesystem::path(info.path).filename().string()) +
+      out += "{\"file\": " + JsonQuote(FileName(info.path)) +
              ", \"index\": " + std::to_string(info.index) +
              ", \"version\": " + std::to_string(info.version) +
              ", \"shard\": " + std::to_string(info.shard_id) +

@@ -32,12 +32,12 @@
 #pragma once
 
 #include <cstdint>
-#include <cstdio>
 #include <functional>
 #include <string>
 #include <unordered_map>
 #include <vector>
 
+#include "common/file_system.hpp"
 #include "events/event.hpp"
 #include "events/journal.hpp"
 #include "metadb/link.hpp"
@@ -128,18 +128,6 @@ WalOpRecord DecodeWalOp(WalRecordType type, std::string_view payload);
 
 // --- Writer ----------------------------------------------------------------
 
-/// Observes the durable extent of WAL files as the writer flushes them.
-/// The crash-point fuzz harness records these (path, physical end
-/// offset) events to pick kill points; production runs leave it unset.
-class WalAppendObserver {
- public:
-  virtual ~WalAppendObserver() = default;
-  /// Bytes [0, end_offset) of `path` have been handed to the OS (or
-  /// fsynced, per policy). Called in global append order.
-  virtual void OnDurableExtent(const std::string& path,
-                               uint64_t end_offset) = 0;
-};
-
 struct WalWriterOptions {
   std::string dir;      ///< WAL directory (must exist).
   std::string stream;   ///< Stream name, e.g. "ops" or "shard0".
@@ -150,7 +138,7 @@ struct WalWriterOptions {
   /// Sampled at segment open to stamp the header's epoch floor (the
   /// sharded claim purge floor; 0 when unsharded / unset).
   std::function<uint64_t()> epoch_floor;
-  WalAppendObserver* observer = nullptr;  ///< Not owned; may be null.
+  common::FileSystem* fs = nullptr;  ///< Not owned; null means POSIX.
 };
 
 /// Appends framed records to a stream's segment files. As a JournalSink
@@ -203,16 +191,19 @@ class WalWriter final : public JournalSink {
                              uint64_t policy_version);
   void AppendPolicyRollbackOp(uint64_t op_seq);
 
-  /// Hands buffered bytes to the OS and notifies the observer. Throws
-  /// WalIoError on write failure; already-written bytes are consumed
+  /// Hands buffered bytes to the OS. Throws WalIoError on write
+  /// failure; already-written bytes are consumed
   /// from the buffer first, so a retry continues where the last attempt
   /// stopped instead of duplicating bytes mid-stream.
   void Flush();
 
-  /// Flush + fsync (durable against power loss). Throws WalIoError on
-  /// failure. After a failed fsync the kernel may have dropped the
-  /// dirty pages, so callers must treat the unflushed tail as lost and
-  /// heal by re-checkpointing, not by retrying the fsync.
+  /// Flush + fsync (durable against power loss); the fsync is skipped
+  /// when nothing was appended since the last successful one. Unless
+  /// fsync=none, a segment's first Sync also syncs the WAL directory so
+  /// its entry is durable before any record in it is acknowledged.
+  /// Throws WalIoError on failure. After a failed fsync the kernel may
+  /// have dropped the dirty pages, so callers must treat the unflushed
+  /// tail as lost and heal by re-checkpointing, not by retrying it.
   void Sync();
 
   /// Empty while every mirrored row reached the stream. The JournalSink
@@ -258,6 +249,11 @@ class WalWriter final : public JournalSink {
   /// trailer and runs the spill check.
   void EndRecord(size_t mark);
   void WriteRaw(const void* data, size_t size);
+  /// Logs one operation as its own append group: failpoint, roll check,
+  /// then a frame whose payload `encode(buffer)` appends. A throwing
+  /// encoder leaves no half-open frame behind.
+  template <typename Encode>
+  void AppendOpRecord(WalRecordType type, Encode&& encode);
   /// Evaluates the "wal.append" failpoint; throws WalIoError on a hit.
   void CheckAppendFailpoint();
   /// Throwing body of OnAppend (the override wraps it fail-soft).
@@ -274,16 +270,18 @@ class WalWriter final : public JournalSink {
   void EndAppendGroup();
 
   WalWriterOptions options_;
-  int fd_ = -1;
-  /// Appended frames not yet handed to the OS. Raw fd + own buffer
-  /// instead of stdio: appends are plain memcpys with no per-call
-  /// stream locking, and every flush point is policy-driven.
+  common::FileSystem& fs_;
+  int handle_ = -1;  ///< Open segment; -1 when none.
+  /// Appended frames not yet handed to the OS. An own buffer instead of
+  /// stdio: appends are plain memcpys with no per-call stream locking,
+  /// and every flush point is policy-driven.
   std::string write_buffer_;
   std::string path_;
   uint64_t segment_index_ = 0;
   uint64_t base_offset_ = 0;
   uint64_t file_bytes_ = 0;
-  bool dirty_ = false;
+  bool unsynced_ = false;  ///< Bytes appended since the last good fsync.
+  bool directory_unsynced_ = false;  ///< Open segment's entry not synced.
   uint64_t frames_appended_ = 0;
   uint64_t last_reset_end_ = 0;
   std::string failure_;  ///< First fail-soft sink failure; see failure().
@@ -312,6 +310,9 @@ struct WalSegmentInfo {
   size_t symbols = 0;
   bool header_valid = false;
   bool torn = false;         ///< Scan stopped inside this segment.
+  /// Stranded below a base-offset gap (a prune interrupted before its
+  /// directory update fully persisted): the scan skips it.
+  bool orphaned = false;
   std::string error;         ///< Human-readable reason when torn/invalid.
 };
 
@@ -343,28 +344,24 @@ struct WalStreamData {
 std::string WalSegmentFileName(const std::string& stream, uint64_t index);
 
 /// Stream names present in `dir`, sorted. A missing directory yields {}.
-std::vector<std::string> ListWalStreams(const std::string& dir);
+std::vector<std::string> ListWalStreams(
+    const std::string& dir, common::FileSystem& fs = common::PosixFileSystem());
 
 /// Scans a stream's segments in index order, validating every frame.
-WalStreamData ReadWalStream(const std::string& dir, const std::string& stream);
+WalStreamData ReadWalStream(
+    const std::string& dir, const std::string& stream,
+    common::FileSystem& fs = common::PosixFileSystem());
 
 /// Physically truncates a stream to `logical_offset`: later segments are
 /// deleted, the segment containing the offset is resized (and deleted
 /// when the cut falls inside its header). Writers opened afterwards
-/// continue at exactly `logical_offset` in a fresh segment. When
-/// `failed_removals` is given, fs::remove failures are counted into it
-/// instead of being silently ignored (they leak disk until the next
-/// sweep; the server surfaces the count through wal-status).
-void TruncateWalStream(const std::string& dir, const std::string& stream,
-                       uint64_t logical_offset,
-                       size_t* failed_removals = nullptr);
-
-/// Outcome of PruneWalSegments / RemoveOrphanedWalPrefix.
-struct WalPruneStats {
-  size_t segments_removed = 0;
-  size_t failed_removals = 0;   ///< fs::remove errors (disk still leaked).
-  uint64_t bytes_removed = 0;   ///< Physical bytes reclaimed.
-};
+/// continue at exactly `logical_offset` in a fresh segment. Throws
+/// Error when the resize fails; returns the number of failed removals,
+/// which leak disk until the next sweep (the server surfaces the count
+/// through wal-status).
+size_t TruncateWalStream(const std::string& dir, const std::string& stream,
+                         uint64_t logical_offset,
+                         common::FileSystem& fs = common::PosixFileSystem());
 
 /// WAL segment retention: removes segments of `stream` that lie wholly
 /// below `floor_offset` (the committed checkpoint's logical offset for
@@ -375,17 +372,11 @@ struct WalPruneStats {
 /// by segment index so a crash mid-prune leaves a removed prefix plus a
 /// contiguous remainder, which ReadWalStream absorbs like any pruned
 /// prefix. A negative `retain_segments` disables pruning entirely.
-WalPruneStats PruneWalSegments(const std::string& dir,
-                               const std::string& stream,
-                               uint64_t floor_offset, int retain_segments);
-
-/// Garbage-collects segments stranded below a base-offset discontinuity
-/// (a prune interrupted before its directory update fully persisted):
-/// everything below the LAST forward gap in the segment chain is
-/// removed, matching what ReadWalStream's gap handling already refuses
-/// to read. No-op on contiguous streams.
-WalPruneStats RemoveOrphanedWalPrefix(const std::string& dir,
-                                      const std::string& stream);
+common::RemovalStats PruneWalSegments(const std::string& dir,
+                                      const std::string& stream,
+                                      uint64_t floor_offset,
+                                      int retain_segments,
+                                      common::FileSystem& fs);
 
 /// Multi-line human-readable report over every stream in `dir` (segment
 /// headers, record counts, CRC verification, truncation points; torn

@@ -1,16 +1,10 @@
 #include "metadb/recovery.hpp"
 
-#include <fcntl.h>
-#include <unistd.h>
-
 #include <algorithm>
 #include <cerrno>
-#include <cstdio>
-#include <cstring>
-#include <filesystem>
 #include <map>
+#include <set>
 
-#include "common/errno_string.hpp"
 #include "common/error.hpp"
 #include "common/failpoint.hpp"
 #include "common/strings.hpp"
@@ -22,12 +16,6 @@ namespace {
 
 constexpr const char* kManifestMagic = "damocles-wal-manifest v1";
 constexpr const char* kWorkspaceMagic = "damocles-workspace v1";
-
-std::string PadIndex(uint64_t index) {
-  std::string digits = std::to_string(index);
-  if (digits.size() < 6) digits.insert(0, 6 - digits.size(), '0');
-  return digits;
-}
 
 [[noreturn]] void FailLine(const char* what, size_t line_no,
                            const std::string& message) {
@@ -86,87 +74,69 @@ struct LineCursor {
   }
 };
 
-bool ReadFileToString(const std::string& path, std::string& out) {
-  std::FILE* file = std::fopen(path.c_str(), "rb");
-  if (file == nullptr) return false;
-  char buffer[1u << 16];
-  out.clear();
-  size_t got = 0;
-  while ((got = std::fread(buffer, 1, sizeof buffer, file)) > 0) {
-    out.append(buffer, got);
+/// Walks a dump of a `magic` line, then `key ...` lines up to "end"
+/// (blank lines only after it), calling `parse(key, cursor)` per line
+/// and expecting the cursor at the line's end afterwards. Returns the
+/// line count for the caller's final checks.
+template <typename Parse>
+size_t ParseKeyedLines(const std::string& text, const char* magic,
+                       const char* what, Parse&& parse) {
+  const std::vector<std::string> lines = Split(text, '\n');
+  if (lines.empty() || lines[0] != magic) {
+    FailLine(what, 1, std::string("expected magic '") + magic + "'");
   }
-  const bool failed = std::ferror(file) != 0;
-  std::fclose(file);
-  return !failed;
+  bool saw_end = false;
+  for (size_t i = 1; i < lines.size(); ++i) {
+    const size_t line_no = i + 1;
+    const std::string& line = lines[i];
+    if (line.empty()) {
+      if (!saw_end) FailLine(what, line_no, "unexpected blank line");
+      continue;
+    }
+    if (saw_end) FailLine(what, line_no, "content after 'end'");
+    if (line == "end") {
+      saw_end = true;
+      continue;
+    }
+    const size_t space = line.find(' ');
+    LineCursor cursor{line, space == std::string::npos ? line.size() : space,
+                      line_no, what};
+    parse(line.substr(0, space), cursor);
+    cursor.ExpectEnd();
+  }
+  if (!saw_end) FailLine(what, lines.size(), "missing 'end'");
+  return lines.size();
 }
 
-/// Writes + fsyncs a file, throwing on failure; notifies the observer
-/// with the final size so the crash harness can cut inside it.
+/// Writes + fsyncs a checkpoint file, throwing on failure.
 ///
 /// "checkpoint.write" failpoint: `short:<n>` writes only the first n
 /// bytes before failing (the partial file a real ENOSPC leaves behind);
 /// `error` / `errno:<E>` fail after the full write. Either way the
 /// previous manifest chain stays untouched — the manifest pointing at
 /// this file is never written.
-void WriteFileDurable(const std::string& path, const std::string& content,
-                      events::WalAppendObserver* observer) {
+void WriteCheckpointFile(common::FileSystem& fs, const std::string& path,
+                         std::string_view content) {
   common::FailpointHit hit;
   const bool injected = DAMOCLES_FAILPOINT("checkpoint.write", &hit);
-  std::string_view body(content);
   if (injected && hit.action == common::FailpointAction::kShortWrite) {
-    body = body.substr(0, static_cast<size_t>(hit.param));
+    content = content.substr(0, static_cast<size_t>(hit.param));
   }
-  std::FILE* file = std::fopen(path.c_str(), "wb");
-  if (file == nullptr) {
-    throw Error("checkpoint: cannot create " + path + ": " +
-                common::ErrnoString(errno));
-  }
-  const bool write_ok =
-      body.empty() ||
-      std::fwrite(body.data(), 1, body.size(), file) == body.size();
-  const bool flush_ok = std::fflush(file) == 0;
-  const bool sync_ok = ::fsync(fileno(file)) == 0;
-  std::fclose(file);
+  int err = fs.WriteFileDurable(path, content);
   if (injected) {
-    const int err = hit.action == common::FailpointAction::kErrno
-                        ? hit.error_number
-                        : EIO;
+    err = hit.action == common::FailpointAction::kErrno ? hit.error_number
+                                                        : EIO;
+  }
+  if (err != 0) {
     throw Error("checkpoint: write failed on " + path + ": " +
-                common::ErrnoString(err) + " (injected)");
+                common::ErrnoString(err) + (injected ? " (injected)" : ""));
   }
-  if (!write_ok || !flush_ok || !sync_ok) {
-    throw Error("checkpoint: write failed on " + path);
-  }
-  if (observer != nullptr) observer->OnDurableExtent(path, content.size());
-}
-
-/// Best-effort directory fsync so renames survive power loss.
-void SyncDirectory(const std::string& dir) {
-  const int fd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY);
-  if (fd < 0) return;
-  ::fsync(fd);
-  ::close(fd);
 }
 
 /// (id, path) of every manifest file, sorted ascending by id.
-std::vector<std::pair<uint64_t, std::string>> ListManifests(
-    const std::string& dir) {
-  namespace fs = std::filesystem;
-  std::vector<std::pair<uint64_t, std::string>> manifests;
-  std::error_code ec;
-  for (const auto& entry : fs::directory_iterator(dir, ec)) {
-    if (!entry.is_regular_file(ec)) continue;
-    const std::string name = entry.path().filename().string();
-    if (!StartsWith(name, "manifest-") || !EndsWith(name, ".txt")) continue;
-    const std::string digits = name.substr(9, name.size() - 9 - 4);
-    if (digits.empty() ||
-        digits.find_first_not_of("0123456789") != std::string::npos) {
-      continue;
-    }
-    manifests.emplace_back(std::stoull(digits), entry.path().string());
-  }
-  std::sort(manifests.begin(), manifests.end());
-  return manifests;
+std::vector<common::NumberedFile> ListManifests(common::FileSystem& fs,
+                                                const std::string& dir) {
+  return fs.ListNumbered(dir, "manifest-", ".txt");
 }
 
 }  // namespace
@@ -210,112 +180,86 @@ std::string FormatWalManifest(const WalManifest& manifest) {
 
 WalManifest ParseWalManifest(const std::string& text) {
   constexpr const char* kWhat = "wal manifest";
-  const std::vector<std::string> lines = Split(text, '\n');
-  if (lines.empty() || lines[0] != kManifestMagic) {
-    FailLine(kWhat, 1, std::string("expected magic '") + kManifestMagic + "'");
-  }
   WalManifest manifest;
-  bool saw_end = false;
   bool saw_db = false;
   bool saw_workspace = false;
-  for (size_t i = 1; i < lines.size(); ++i) {
-    const size_t line_no = i + 1;
-    const std::string& line = lines[i];
-    if (line.empty()) {
-      if (!saw_end) FailLine(kWhat, line_no, "unexpected blank line");
-      continue;
-    }
-    if (saw_end) {
-      FailLine(kWhat, line_no, "content after 'end'");
-    }
-    if (line == "end") {
-      saw_end = true;
-      continue;
-    }
-    const size_t space = line.find(' ');
-    const std::string key = line.substr(0, space);
-    LineCursor cursor{line, space == std::string::npos ? line.size() : space,
-                      line_no, kWhat};
-    if (key == "checkpoint") {
-      manifest.checkpoint_id = cursor.U64("checkpoint id");
-    } else if (key == "kind") {
-      // Optional: absent (meaning "full") on manifests from before
-      // incremental checkpoints.
-      const std::string kind(Trim(line.substr(cursor.pos)));
-      cursor.pos = line.size();
-      if (kind == "delta") {
-        manifest.delta = true;
-      } else if (kind != "full") {
-        FailLine(kWhat, line_no, "unknown checkpoint kind '" + kind + "'");
-      }
-    } else if (key == "base") {
-      manifest.base_id = cursor.U64("base checkpoint id");
-    } else if (key == "op-seq") {
-      manifest.op_seq = cursor.U64("op-seq");
-    } else if (key == "ops-offset") {
-      manifest.ops_offset = cursor.U64("ops-offset");
-    } else if (key == "clock") {
-      manifest.clock_seconds = cursor.I64("clock");
-    } else if (key == "epoch-next") {
-      manifest.epoch_next = cursor.U64("epoch-next");
-    } else if (key == "epoch-waves") {
-      manifest.epoch_waves = cursor.U64("epoch-waves");
-    } else if (key == "shards") {
-      manifest.num_shards = static_cast<uint32_t>(cursor.U64("shards"));
-    } else if (key == "db") {
-      manifest.db_file = cursor.Quoted("file name");
-      manifest.db_bytes = cursor.U64("byte count");
-      saw_db = true;
-    } else if (key == "blueprint") {
-      manifest.blueprint_file = cursor.Quoted("file name");
-      manifest.blueprint_bytes = cursor.U64("byte count");
-    } else if (key == "workspace") {
-      manifest.workspace_file = cursor.Quoted("file name");
-      manifest.workspace_bytes = cursor.U64("byte count");
-      saw_workspace = true;
-    } else if (key == "policy") {
-      // Optional: absent on manifests from before policy versioning.
-      manifest.policy_file = cursor.Quoted("file name");
-      manifest.policy_bytes = cursor.U64("byte count");
-    } else if (key == "stream") {
-      const std::string name = cursor.Quoted("stream name");
-      const uint64_t offset = cursor.U64("offset");
-      manifest.streams.emplace_back(name, offset);
-    } else {
-      FailLine(kWhat, line_no, "unknown key '" + key + "'");
-    }
-    cursor.ExpectEnd();
-  }
-  if (!saw_end) FailLine(kWhat, lines.size(), "missing 'end'");
-  if (!saw_db) FailLine(kWhat, lines.size(), "missing 'db' entry");
+  const size_t line_count = ParseKeyedLines(
+      text, kManifestMagic, kWhat,
+      [&](const std::string& key, LineCursor& cursor) {
+        if (key == "checkpoint") {
+          manifest.checkpoint_id = cursor.U64("checkpoint id");
+        } else if (key == "kind") {
+          // Optional: absent (meaning "full") on manifests from before
+          // incremental checkpoints.
+          const std::string kind(Trim(cursor.line.substr(cursor.pos)));
+          cursor.pos = cursor.line.size();
+          if (kind == "delta") {
+            manifest.delta = true;
+          } else if (kind != "full") {
+            FailLine(kWhat, cursor.line_no,
+                     "unknown checkpoint kind '" + kind + "'");
+          }
+        } else if (key == "base") {
+          manifest.base_id = cursor.U64("base checkpoint id");
+        } else if (key == "op-seq") {
+          manifest.op_seq = cursor.U64("op-seq");
+        } else if (key == "ops-offset") {
+          manifest.ops_offset = cursor.U64("ops-offset");
+        } else if (key == "clock") {
+          manifest.clock_seconds = cursor.I64("clock");
+        } else if (key == "epoch-next") {
+          manifest.epoch_next = cursor.U64("epoch-next");
+        } else if (key == "epoch-waves") {
+          manifest.epoch_waves = cursor.U64("epoch-waves");
+        } else if (key == "shards") {
+          manifest.num_shards = static_cast<uint32_t>(cursor.U64("shards"));
+        } else if (key == "db") {
+          manifest.db_file = cursor.Quoted("file name");
+          manifest.db_bytes = cursor.U64("byte count");
+          saw_db = true;
+        } else if (key == "blueprint") {
+          manifest.blueprint_file = cursor.Quoted("file name");
+          manifest.blueprint_bytes = cursor.U64("byte count");
+        } else if (key == "workspace") {
+          manifest.workspace_file = cursor.Quoted("file name");
+          manifest.workspace_bytes = cursor.U64("byte count");
+          saw_workspace = true;
+        } else if (key == "policy") {
+          // Optional: absent on manifests from before policy versioning.
+          manifest.policy_file = cursor.Quoted("file name");
+          manifest.policy_bytes = cursor.U64("byte count");
+        } else if (key == "stream") {
+          const std::string name = cursor.Quoted("stream name");
+          const uint64_t offset = cursor.U64("offset");
+          manifest.streams.emplace_back(name, offset);
+        } else {
+          FailLine(kWhat, cursor.line_no, "unknown key '" + key + "'");
+        }
+      });
+  if (!saw_db) FailLine(kWhat, line_count, "missing 'db' entry");
   if (!saw_workspace) {
-    FailLine(kWhat, lines.size(), "missing 'workspace' entry");
+    FailLine(kWhat, line_count, "missing 'workspace' entry");
   }
   if (manifest.delta && manifest.base_id == 0) {
-    FailLine(kWhat, lines.size(), "delta manifest missing 'base'");
+    FailLine(kWhat, line_count, "delta manifest missing 'base'");
   }
   if (!manifest.delta && manifest.base_id != 0) {
-    FailLine(kWhat, lines.size(), "'base' entry on a full manifest");
+    FailLine(kWhat, line_count, "'base' entry on a full manifest");
   }
   if (manifest.delta && manifest.base_id >= manifest.checkpoint_id) {
-    FailLine(kWhat, lines.size(),
+    FailLine(kWhat, line_count,
              "delta base must precede the checkpoint id (chain must descend)");
   }
   return manifest;
 }
 
 std::string ManifestFileName(uint64_t checkpoint_id) {
-  return "manifest-" + PadIndex(checkpoint_id) + ".txt";
+  return common::NumberedFileName("manifest-", checkpoint_id, ".txt");
 }
 
 std::string CheckpointFileName(uint64_t checkpoint_id,
                                const std::string& ext) {
-  return "checkpoint-" + PadIndex(checkpoint_id) + "." + ext;
-}
-
-uint64_t LatestManifestId(const std::string& dir) {
-  const auto manifests = ListManifests(dir);
-  return manifests.empty() ? 0 : manifests.back().first;
+  return common::NumberedFileName("checkpoint-", checkpoint_id, "." + ext);
 }
 
 // --- Workspace checkpoint text ---------------------------------------------
@@ -339,66 +283,45 @@ std::string SaveWorkspaceText(const Workspace& workspace) {
 }
 
 void LoadWorkspaceText(const std::string& text, Workspace& workspace) {
-  constexpr const char* kWhat = "workspace dump";
-  const std::vector<std::string> lines = Split(text, '\n');
-  if (lines.empty() || lines[0] != kWorkspaceMagic) {
-    FailLine(kWhat, 1, std::string("expected magic '") + kWorkspaceMagic + "'");
-  }
-  bool saw_end = false;
-  for (size_t i = 1; i < lines.size(); ++i) {
-    const size_t line_no = i + 1;
-    const std::string& line = lines[i];
-    if (line.empty()) {
-      if (!saw_end) FailLine(kWhat, line_no, "unexpected blank line");
-      continue;
-    }
-    if (saw_end) FailLine(kWhat, line_no, "content after 'end'");
-    if (line == "end") {
-      saw_end = true;
-      continue;
-    }
-    const size_t space = line.find(' ');
-    const std::string key = line.substr(0, space);
-    LineCursor cursor{line, space == std::string::npos ? line.size() : space,
-                      line_no, kWhat};
-    if (key == "file") {
-      Oid oid;
-      oid.block = cursor.Quoted("block");
-      oid.view = cursor.Quoted("view");
-      oid.version = static_cast<int>(cursor.U64("version"));
-      const int64_t modified_at = cursor.I64("modified_at");
-      std::string content = cursor.Quoted("content");
-      cursor.ExpectEnd();
-      workspace.RestoreFile(oid, std::move(content), modified_at);
-    } else if (key == "latest") {
-      const std::string block = cursor.Quoted("block");
-      const std::string view = cursor.Quoted("view");
-      const int version = static_cast<int>(cursor.U64("version"));
-      cursor.ExpectEnd();
-      workspace.RestoreLatestVersion(block, view, version);
-    } else {
-      FailLine(kWhat, line_no, "unknown key '" + key + "'");
-    }
-  }
-  if (!saw_end) FailLine(kWhat, lines.size(), "missing 'end'");
+  ParseKeyedLines(
+      text, kWorkspaceMagic, "workspace dump",
+      [&](const std::string& key, LineCursor& cursor) {
+        if (key == "file") {
+          Oid oid;
+          oid.block = cursor.Quoted("block");
+          oid.view = cursor.Quoted("view");
+          oid.version = static_cast<int>(cursor.U64("version"));
+          const int64_t modified_at = cursor.I64("modified_at");
+          std::string content = cursor.Quoted("content");
+          workspace.RestoreFile(oid, std::move(content), modified_at);
+        } else if (key == "latest") {
+          const std::string block = cursor.Quoted("block");
+          const std::string view = cursor.Quoted("view");
+          const int version = static_cast<int>(cursor.U64("version"));
+          workspace.RestoreLatestVersion(block, view, version);
+        } else {
+          FailLine(cursor.what, cursor.line_no, "unknown key '" + key + "'");
+        }
+      });
 }
 
 // --- Recovery --------------------------------------------------------------
 
-RecoveryPlan BuildRecoveryPlan(const std::string& wal_dir) {
+RecoveryPlan BuildRecoveryPlan(const std::string& wal_dir,
+                               common::FileSystem& fs) {
   RecoveryPlan plan;
-  namespace fs = std::filesystem;
-  std::error_code ec;
-  if (!fs::is_directory(wal_dir, ec)) return plan;
-
-  events::WalStreamData ops = events::ReadWalStream(wal_dir, "ops");
-  plan.replay_ops_end = ops.valid_end;
-
-  std::map<std::string, events::WalStreamData> row_streams;
-  for (const std::string& name : events::ListWalStreams(wal_dir)) {
-    if (name == "ops") continue;
-    row_streams.emplace(name, events::ReadWalStream(wal_dir, name));
+  // Every stream, "ops" included (empty when absent).
+  std::map<std::string, events::WalStreamData> streams;
+  for (const std::string& name : events::ListWalStreams(wal_dir, fs)) {
+    const events::WalStreamData& stream =
+        streams.emplace(name, events::ReadWalStream(wal_dir, name, fs))
+            .first->second;
+    for (const events::WalSegmentInfo& segment : stream.segments) {
+      if (segment.orphaned) plan.orphaned_segments.push_back(segment.path);
+    }
   }
+  events::WalStreamData& ops = streams["ops"];
+  plan.replay_ops_end = ops.valid_end;
 
   // Newest manifest whose checkpoint fully validates wins; torn or
   // incomplete checkpoint writes fall back to their predecessor. A
@@ -407,17 +330,18 @@ RecoveryPlan BuildRecoveryPlan(const std::string& wal_dir) {
   // must apply cleanly onto the base in order. A delta tip with a
   // broken chain is skipped exactly like a torn full checkpoint (its
   // own base, one step shorter, is tried next).
-  auto manifests = ListManifests(wal_dir);
-  const std::map<uint64_t, std::string> manifest_paths(manifests.begin(),
-                                                       manifests.end());
+  const auto manifests = ListManifests(fs, wal_dir);
+  std::map<uint64_t, std::string> manifest_paths;
+  for (const common::NumberedFile& manifest : manifests) {
+    manifest_paths.emplace(manifest.number, manifest.path);
+  }
   const auto load_part = [&](const std::string& file, uint64_t bytes,
                              std::string& out) {
     if (file.empty()) return bytes == 0;
-    if (!ReadFileToString(wal_dir + "/" + file, out)) return false;
-    return out.size() == bytes;
+    return fs.ReadFile(wal_dir + "/" + file, out) == 0 && out.size() == bytes;
   };
   for (auto it = manifests.rbegin(); it != manifests.rend(); ++it) {
-    const uint64_t tip_id = it->first;
+    const uint64_t tip_id = it->number;
     // (manifest, db text), tip first while following base pointers.
     std::vector<std::pair<WalManifest, std::string>> members;
     std::string blueprint_text;
@@ -433,7 +357,7 @@ RecoveryPlan BuildRecoveryPlan(const std::string& wal_dir) {
       }
       std::string text;
       WalManifest manifest;
-      valid = ReadFileToString(path_it->second, text);
+      valid = fs.ReadFile(path_it->second, text) == 0;
       if (valid) {
         try {
           manifest = ParseWalManifest(text);
@@ -486,9 +410,9 @@ RecoveryPlan BuildRecoveryPlan(const std::string& wal_dir) {
       // intact prefix, or the pre-checkpoint journal is unrecoverable
       // from this manifest.
       for (const auto& [name, offset] : members.front().first.streams) {
-        const auto stream_it = row_streams.find(name);
+        const auto stream_it = streams.find(name);
         const uint64_t valid_end =
-            stream_it == row_streams.end() ? 0 : stream_it->second.valid_end;
+            stream_it == streams.end() ? 0 : stream_it->second.valid_end;
         if (offset > valid_end) {
           valid = false;
           break;
@@ -518,8 +442,8 @@ RecoveryPlan BuildRecoveryPlan(const std::string& wal_dir) {
     for (const auto& [name, offset] : plan.manifest.streams) {
       RecoveredStream recovered;
       recovered.name = name;
-      const auto stream_it = row_streams.find(name);
-      if (stream_it != row_streams.end()) {
+      const auto stream_it = streams.find(name);
+      if (stream_it != streams.end()) {
         // A journal clear drops everything before it: only rows after
         // the last reset at-or-before the cutoff are restored.
         uint64_t reset_floor = 0;
@@ -547,9 +471,9 @@ RecoveryPlan BuildRecoveryPlan(const std::string& wal_dir) {
 }
 
 std::string FormatWalCheckpointChains(const std::string& wal_dir) {
-  namespace fs = std::filesystem;
+  common::FileSystem& fs = common::PosixFileSystem();
   std::string out = "checkpoints:\n";
-  const auto manifests = ListManifests(wal_dir);
+  const auto manifests = ListManifests(fs, wal_dir);
   if (manifests.empty()) {
     return "checkpoints: none\n";
   }
@@ -557,7 +481,7 @@ std::string FormatWalCheckpointChains(const std::string& wal_dir) {
     out += "  manifest " + std::to_string(id) + ": ";
     WalManifest manifest;
     std::string text;
-    if (!ReadFileToString(path, text)) {
+    if (fs.ReadFile(path, text) != 0) {
       out += "UNREADABLE (cannot read " + path + ")\n";
       continue;
     }
@@ -572,13 +496,15 @@ std::string FormatWalCheckpointChains(const std::string& wal_dir) {
                : "full";
     out += ", op-seq " + std::to_string(manifest.op_seq) + ", ops-offset " +
            std::to_string(manifest.ops_offset);
-    std::error_code ec;
-    const uint64_t db_bytes = fs::file_size(wal_dir + "/" + manifest.db_file, ec);
+    uint64_t db_bytes = 0;
+    const bool missing =
+        fs.FileSize(wal_dir + "/" + manifest.db_file, db_bytes) != 0;
     out += ", db " + manifest.db_file +
-           (ec ? " (MISSING)" : " (" + std::to_string(db_bytes) + " bytes)");
+           (missing ? " (MISSING)"
+                    : " (" + std::to_string(db_bytes) + " bytes)");
     out += "\n";
   }
-  const RecoveryPlan plan = BuildRecoveryPlan(wal_dir);
+  const RecoveryPlan plan = BuildRecoveryPlan(wal_dir, fs);
   if (!plan.have_checkpoint) {
     out += "recovery chain: none (no valid checkpoint)\n";
     return out;
@@ -598,26 +524,23 @@ namespace {
 
 constexpr const char* kCheckpointExts[] = {"db", "dbd", "bp", "ws", "ps"};
 
-/// Removes `path` counting the outcome: removed vs failed (a missing
-/// file is neither). fs::remove errors were previously discarded here,
-/// silently leaking disk.
-void RemoveCounted(const std::string& path, WalGcStats& stats) {
-  namespace fs = std::filesystem;
-  std::error_code ec;
-  if (fs::remove(path, ec)) {
-    ++stats.artifacts_removed;
-  } else if (ec) {
-    ++stats.failed_removals;
+/// Removes manifest `id` and every checkpoint file it may name.
+void RemoveCheckpoint(common::FileSystem& fs, const std::string& wal_dir,
+                      const common::NumberedFile& manifest,
+                      common::RemovalStats& stats) {
+  fs.RemoveCounted(manifest.path, stats);
+  for (const char* ext : kCheckpointExts) {
+    fs.RemoveCounted(wal_dir + "/" + CheckpointFileName(manifest.number, ext),
+                     stats);
   }
 }
 
 }  // namespace
 
-WalGcStats PrepareWalDirectory(const std::string& wal_dir,
-                               const RecoveryPlan& plan) {
-  namespace fs = std::filesystem;
-  std::error_code ec;
-  WalGcStats stats;
+common::RemovalStats PrepareWalDirectory(const std::string& wal_dir,
+                                         const RecoveryPlan& plan,
+                                         common::FileSystem& fs) {
+  common::RemovalStats stats;
 
   // Drop manifests newer than the chosen chain tip (torn or invalid)
   // together with their checkpoint files, plus temp leftovers from
@@ -625,82 +548,60 @@ WalGcStats PrepareWalDirectory(const std::string& wal_dir,
   // a delta chain's base and intermediates are never touched.
   const uint64_t keep_id =
       plan.have_checkpoint ? plan.manifest.checkpoint_id : 0;
-  for (const auto& [id, path] : ListManifests(wal_dir)) {
-    if (id <= keep_id) continue;
-    RemoveCounted(path, stats);
-    for (const char* ext : kCheckpointExts) {
-      RemoveCounted(wal_dir + "/" + CheckpointFileName(id, ext), stats);
+  std::set<uint64_t> manifest_ids;
+  for (const common::NumberedFile& manifest : ListManifests(fs, wal_dir)) {
+    manifest_ids.insert(manifest.number);
+    if (manifest.number > keep_id) {
+      RemoveCheckpoint(fs, wal_dir, manifest, stats);
     }
   }
-  for (const auto& entry : fs::directory_iterator(wal_dir, ec)) {
-    if (EndsWith(entry.path().filename().string(), ".tmp")) {
-      RemoveCounted(entry.path().string(), stats);
-    }
+  for (const common::NumberedFile& tmp :
+       fs.ListNumbered(wal_dir, "manifest-", ".txt.tmp")) {
+    fs.RemoveCounted(tmp.path, stats);
   }
 
   // Orphaned checkpoint files — written but never covered by a manifest
   // (a crash between the file writes and the manifest rename). Without
   // a manifest nothing can ever reference them; remove them by name.
-  std::vector<std::string> orphans;
-  {
-    std::map<uint64_t, bool> manifest_ids;
-    for (const auto& [id, path] : ListManifests(wal_dir)) {
-      manifest_ids[id] = true;
-    }
-    std::error_code iter_ec;
-    for (const auto& entry : fs::directory_iterator(wal_dir, iter_ec)) {
-      const std::string name = entry.path().filename().string();
-      if (!StartsWith(name, "checkpoint-")) continue;
-      const size_t dot = name.rfind('.');
-      if (dot == std::string::npos || dot <= 11) continue;
-      const std::string digits = name.substr(11, dot - 11);
-      if (digits.empty() ||
-          digits.find_first_not_of("0123456789") != std::string::npos) {
-        continue;
-      }
-      if (manifest_ids.find(std::stoull(digits)) == manifest_ids.end()) {
-        orphans.push_back(entry.path().string());
+  // (Files of the manifests removed above were removed with them.)
+  for (const char* ext : kCheckpointExts) {
+    const std::string suffix = std::string(".") + ext;
+    for (const common::NumberedFile& file :
+         fs.ListNumbered(wal_dir, "checkpoint-", suffix)) {
+      if (manifest_ids.count(file.number) == 0) {
+        fs.RemoveCounted(file.path, stats);
       }
     }
   }
-  for (const std::string& orphan : orphans) RemoveCounted(orphan, stats);
 
   // Cut the torn ops tail; cut every row stream back to its checkpoint
   // offset (replayed ops regenerate the rows past it). Streams the
   // manifest does not know restart from zero. Segments stranded below a
-  // pruned gap (an interrupted retention pass) are swept first.
-  for (const std::string& name : events::ListWalStreams(wal_dir)) {
-    const events::WalPruneStats orphan_stats =
-        events::RemoveOrphanedWalPrefix(wal_dir, name);
-    stats.artifacts_removed += orphan_stats.segments_removed;
-    stats.failed_removals += orphan_stats.failed_removals;
+  // pruned gap (an interrupted retention pass) are swept first. Only
+  // the failures of the truncations count here: the segments they cut
+  // are not leftovers.
+  for (const std::string& path : plan.orphaned_segments) {
+    fs.RemoveCounted(path, stats);
   }
-  events::TruncateWalStream(wal_dir, "ops", plan.replay_ops_end,
-                            &stats.failed_removals);
-  for (const std::string& name : events::ListWalStreams(wal_dir)) {
-    if (name == "ops") continue;
-    uint64_t offset = 0;
-    if (plan.have_checkpoint) {
-      for (const auto& [stream_name, stream_offset] : plan.manifest.streams) {
-        if (stream_name == name) {
-          offset = stream_offset;
-          break;
-        }
-      }
+  for (const std::string& name : events::ListWalStreams(wal_dir, fs)) {
+    // Without a checkpoint the manifest names no streams.
+    uint64_t offset = name == "ops" ? plan.replay_ops_end : 0;
+    for (const auto& [stream_name, stream_offset] : plan.manifest.streams) {
+      if (stream_name == name) offset = stream_offset;
     }
-    events::TruncateWalStream(wal_dir, name, offset, &stats.failed_removals);
+    stats.failed_removals +=
+        events::TruncateWalStream(wal_dir, name, offset, fs);
   }
   return stats;
 }
 
-WalGcStats PruneWalCheckpoints(const std::string& wal_dir,
-                               uint64_t keep_from_id) {
-  WalGcStats stats;
-  for (const auto& [id, path] : ListManifests(wal_dir)) {
-    if (id >= keep_from_id) continue;
-    RemoveCounted(path, stats);
-    for (const char* ext : kCheckpointExts) {
-      RemoveCounted(wal_dir + "/" + CheckpointFileName(id, ext), stats);
+common::RemovalStats PruneWalCheckpoints(const std::string& wal_dir,
+                                         uint64_t keep_from_id,
+                                         common::FileSystem& fs) {
+  common::RemovalStats stats;
+  for (const common::NumberedFile& manifest : ListManifests(fs, wal_dir)) {
+    if (manifest.number < keep_from_id) {
+      RemoveCheckpoint(fs, wal_dir, manifest, stats);
     }
   }
   return stats;
@@ -709,9 +610,10 @@ WalGcStats PruneWalCheckpoints(const std::string& wal_dir,
 // --- Checkpointing ---------------------------------------------------------
 
 uint64_t WriteWalCheckpoint(const std::string& wal_dir,
-                            const CheckpointRequest& request) {
-  namespace fs = std::filesystem;
-  const uint64_t id = LatestManifestId(wal_dir) + 1;
+                            const CheckpointRequest& request,
+                            common::FileSystem& fs) {
+  const auto manifests = ListManifests(fs, wal_dir);
+  const uint64_t id = manifests.empty() ? 1 : manifests.back().number + 1;
 
   WalManifest manifest;
   manifest.checkpoint_id = id;
@@ -737,15 +639,14 @@ uint64_t WriteWalCheckpoint(const std::string& wal_dir,
   }
   manifest.streams = request.streams;
 
-  WriteFileDurable(wal_dir + "/" + manifest.db_file, request.db_text,
-                   request.observer);
-  WriteFileDurable(wal_dir + "/" + manifest.blueprint_file,
-                   request.blueprint_text, request.observer);
-  WriteFileDurable(wal_dir + "/" + manifest.workspace_file,
-                   request.workspace_text, request.observer);
+  WriteCheckpointFile(fs, wal_dir + "/" + manifest.db_file, request.db_text);
+  WriteCheckpointFile(fs, wal_dir + "/" + manifest.blueprint_file,
+                      request.blueprint_text);
+  WriteCheckpointFile(fs, wal_dir + "/" + manifest.workspace_file,
+                      request.workspace_text);
   if (!manifest.policy_file.empty()) {
-    WriteFileDurable(wal_dir + "/" + manifest.policy_file,
-                     request.policy_text, request.observer);
+    WriteCheckpointFile(fs, wal_dir + "/" + manifest.policy_file,
+                        request.policy_text);
   }
 
   // Manifest last, via temp + rename: a crash mid-checkpoint leaves the
@@ -753,7 +654,7 @@ uint64_t WriteWalCheckpoint(const std::string& wal_dir,
   const std::string manifest_text = FormatWalManifest(manifest);
   const std::string final_path = wal_dir + "/" + ManifestFileName(id);
   const std::string tmp_path = final_path + ".tmp";
-  WriteFileDurable(tmp_path, manifest_text, nullptr);
+  WriteCheckpointFile(fs, tmp_path, manifest_text);
   common::FailpointHit hit;
   if (DAMOCLES_FAILPOINT("checkpoint.manifest.rename", &hit)) {
     // The tmp file stays behind, exactly like a crash between write and
@@ -761,14 +662,17 @@ uint64_t WriteWalCheckpoint(const std::string& wal_dir,
     throw Error("checkpoint: cannot rename " + tmp_path +
                 ": injected failure (failpoint checkpoint.manifest.rename)");
   }
-  std::error_code ec;
-  fs::rename(tmp_path, final_path, ec);
-  if (ec) {
-    throw Error("checkpoint: cannot rename " + tmp_path + ": " + ec.message());
+  if (const int err = fs.Rename(tmp_path, final_path); err != 0) {
+    throw Error("checkpoint: cannot rename " + tmp_path + ": " +
+                common::ErrnoString(err));
   }
-  SyncDirectory(wal_dir);
-  if (request.observer != nullptr) {
-    request.observer->OnDurableExtent(final_path, manifest_text.size());
+  // Until the directory is synced the rename may not survive power
+  // loss, so a failed sync fails the checkpoint.
+  if (request.sync_directory) {
+    if (const int err = fs.SyncDirectory(wal_dir); err != 0) {
+      throw Error("checkpoint: directory sync failed on " + wal_dir + ": " +
+                  common::ErrnoString(err));
+    }
   }
   return id;
 }

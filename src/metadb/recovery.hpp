@@ -21,6 +21,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/file_system.hpp"
 #include "events/wal.hpp"
 #include "metadb/workspace.hpp"
 
@@ -76,8 +77,6 @@ WalManifest ParseWalManifest(const std::string& text);
 std::string ManifestFileName(uint64_t checkpoint_id);
 std::string CheckpointFileName(uint64_t checkpoint_id, const std::string& ext);
 
-/// Highest manifest id present in `dir`; 0 when none.
-uint64_t LatestManifestId(const std::string& dir);
 
 // --- Workspace checkpoint text ---------------------------------------------
 
@@ -122,6 +121,8 @@ struct RecoveryPlan {
   /// Highest op_seq on record (checkpoint or ops stream); the server
   /// continues numbering from here.
   uint64_t last_op_seq = 0;
+  /// Segments stranded below a pruned gap, which recovery skips.
+  std::vector<std::string> orphaned_segments;
   /// Newer-but-invalid manifests that were passed over.
   size_t manifests_skipped = 0;
   /// Total journal rows restored across streams.
@@ -132,7 +133,8 @@ struct RecoveryPlan {
 /// referenced file must exist, match its recorded size and parse),
 /// pre-checkpoint rows per stream, and the ops tail to replay. Read-only;
 /// a missing or empty directory yields an empty plan.
-RecoveryPlan BuildRecoveryPlan(const std::string& wal_dir);
+RecoveryPlan BuildRecoveryPlan(const std::string& wal_dir,
+                               common::FileSystem& fs);
 
 /// Human-readable report over the checkpoint manifests in `wal_dir`:
 /// one line per manifest (kind, base, op-seq, ops offset, db payload
@@ -140,34 +142,28 @@ RecoveryPlan BuildRecoveryPlan(const std::string& wal_dir);
 /// wal_inspect CLI appends this to the stream report.
 std::string FormatWalCheckpointChains(const std::string& wal_dir);
 
-/// Garbage-collection outcome of PrepareWalDirectory /
-/// PruneWalCheckpoints. `failed_removals` counts fs::remove calls whose
-/// error code reported failure — previously ignored, silently leaking
-/// disk; the server surfaces the count through wal-status and trips a
-/// pruning-behind warning (not degraded mode).
-struct WalGcStats {
-  size_t artifacts_removed = 0;
-  size_t failed_removals = 0;
-};
-
 /// Makes the directory consistent with `plan` before writers re-attach:
 /// truncates the ops stream at its torn tail, cuts every row stream back
 /// to its manifest offset (streams unknown to the manifest are removed),
 /// deletes manifests newer than the chosen chain tip together with
-/// their checkpoint files, sweeps `*.tmp` leftovers from killed
-/// manifest renames, and removes orphaned checkpoint files that no
-/// manifest on disk references. Returns what was (and could not be)
-/// garbage-collected.
-WalGcStats PrepareWalDirectory(const std::string& wal_dir,
-                               const RecoveryPlan& plan);
+/// their checkpoint files, and sweeps the manifest `.tmp` leftovers of
+/// killed renames, the segments the plan found orphaned and checkpoint
+/// files no manifest on disk references. Returns what was (and could
+/// not be) garbage-collected; segments cut by truncation do not count
+/// as removed. A failed removal leaks disk: the server surfaces the
+/// count through wal-status and a pruning-behind warning.
+common::RemovalStats PrepareWalDirectory(const std::string& wal_dir,
+                                         const RecoveryPlan& plan,
+                                         common::FileSystem& fs);
 
 /// Removes every manifest (and its checkpoint files) with id strictly
 /// below `keep_from_id` — the retention path after a committed
 /// checkpoint supersedes older chains. Never touches ids >=
 /// `keep_from_id`. Returns removal/failure counts like
 /// PrepareWalDirectory.
-WalGcStats PruneWalCheckpoints(const std::string& wal_dir,
-                               uint64_t keep_from_id);
+common::RemovalStats PruneWalCheckpoints(const std::string& wal_dir,
+                                         uint64_t keep_from_id,
+                                         common::FileSystem& fs);
 
 // --- Checkpointing ---------------------------------------------------------
 
@@ -190,15 +186,16 @@ struct CheckpointRequest {
   std::string workspace_text;
   std::string policy_text;
   std::vector<std::pair<std::string, uint64_t>> streams;
-  /// Observed (like WAL appends) so the crash harness can cut inside a
-  /// checkpoint write; production leaves it unset.
-  events::WalAppendObserver* observer = nullptr;
+  /// Sync the WAL directory after the manifest rename (off at fsync=none).
+  bool sync_directory = true;
 };
 
 /// Writes the checkpoint files (fsynced) and then the manifest via
 /// write-to-temp + rename, so a crash mid-checkpoint leaves either the
 /// old manifest chain or a complete new one. Returns the checkpoint id.
+/// Throws Error when any step fails, closes and directory sync included.
 uint64_t WriteWalCheckpoint(const std::string& wal_dir,
-                            const CheckpointRequest& request);
+                            const CheckpointRequest& request,
+                            common::FileSystem& fs);
 
 }  // namespace damocles::metadb

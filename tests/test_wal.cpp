@@ -7,9 +7,12 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <cerrno>
+
 #include <algorithm>
 #include <filesystem>
 #include <fstream>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -775,6 +778,142 @@ TEST(WireDurability, CommandsAreClassifiedForTheMux) {
             engine::WireCommandKind::kMutate);
   EXPECT_EQ(engine::ClassifyWireLine("recover /tmp/x"),
             engine::WireCommandKind::kMutate);
+}
+
+// --- The file-system seam ---------------------------------------------------
+
+using FsKind = testutil::RecordingFileSystem::Kind;
+
+// Under every_record a record is acknowledged once the Sync that ends
+// its append group returns. A freshly rolled segment's directory entry
+// must be durable by then, or power loss can drop the whole segment
+// along with its acked records.
+TEST(FileSystemSeam, RolledSegmentDirectoryIsSyncedBeforeTheFirstAck) {
+  TempDir dir("fs-roll-dirsync");
+  testutil::RecordingFileSystem fs;
+  {
+    WalWriterOptions options;
+    options.dir = dir.str();
+    options.stream = "ops";
+    options.fsync = FsyncPolicy::kEveryRecord;
+    options.segment_bytes = 40;  // Header + one op: every op rolls.
+    options.fs = &fs;
+    WalWriter writer(options);
+    for (int i = 1; i <= 4; ++i) writer.AppendClockOp(i, i * 10);
+    EXPECT_EQ(writer.segment_index(), 4u);
+  }
+  const std::vector<testutil::RecordingFileSystem::Op> ops = fs.ops();
+  size_t segments = 0;
+  for (size_t i = 0; i < ops.size(); ++i) {
+    if (ops[i].kind != FsKind::kCreate) continue;
+    ++segments;
+    bool dir_synced = false;
+    size_t j = i + 1;
+    for (; j < ops.size(); ++j) {
+      if (ops[j].kind == FsKind::kSyncDirectory && ops[j].path == dir.str()) {
+        dir_synced = true;
+      }
+      if (ops[j].kind == FsKind::kSync && ops[j].path == ops[i].path) break;
+    }
+    ASSERT_LT(j, ops.size()) << ops[i].path << " was never synced";
+    EXPECT_TRUE(dir_synced) << ops[i].path;
+  }
+  EXPECT_EQ(segments, 4u);
+}
+
+// A checkpoint whose manifest rename may not survive power loss, or
+// whose files did not close cleanly, is a failed checkpoint: it throws,
+// counts in health, and the previous chain stays in charge.
+TEST(FileSystemSeam, FailedDirectorySyncOrCloseFailsTheCheckpoint) {
+  for (const FsKind kind : {FsKind::kSyncDirectory, FsKind::kClose}) {
+    TempDir dir("fs-ckpt-dirsync");
+    testutil::RecordingFileSystem fs;
+    ServerOptions options = DurableOptions(dir.str());
+    options.wal_fsync = FsyncPolicy::kBatch;
+    options.file_system = &fs;
+    auto server = testutil::MakeEdtcServer(options);
+    RunSampleWorkload(*server);
+    const uint64_t committed = server->WalCheckpoint();
+
+    server->AdvanceClock(60);
+    fs.Fail(kind, EIO);
+    EXPECT_THROW(server->WalCheckpoint(), Error);
+    fs.Fail(kind, 0);
+    EXPECT_EQ(server->GetHealth().checkpoint_failures, 1u);
+    EXPECT_EQ(server->GetWalStatus().last_checkpoint_id, committed);
+
+    EXPECT_GT(server->WalCheckpoint(), committed);
+    EXPECT_EQ(server->GetHealth().checkpoint_failures, 1u);
+  }
+}
+
+// A batch drain syncs only the streams that took bytes since their last
+// sync: a mutation that logs to "ops" alone costs one fsync, not one
+// per shard and steal stream.
+TEST(FileSystemSeam, BatchDrainSyncsOnlyWrittenStreams) {
+  TempDir dir("fs-batch-dirty");
+  testutil::RecordingFileSystem fs;
+  ServerOptions options = DurableOptions(dir.str(), 4);
+  options.wal_fsync = FsyncPolicy::kBatch;
+  options.file_system = &fs;
+  auto server = testutil::MakeEdtcServer(options);
+  const Oid hdl = server->CheckIn("CPU", "HDL_model", "module cpu;", "alice");
+  const Oid sch = server->CheckIn("CPU", "schematic", "cpu gates", "bob");
+  server->Drain();
+
+  const size_t syncs_before = fs.Count(FsKind::kSync);
+  server->RegisterLink(metadb::LinkKind::kDerive, hdl, sch);
+  server->Drain();
+  EXPECT_EQ(fs.Count(FsKind::kSync), syncs_before + 1);
+  server->Drain();  // Nothing new: no fsync at all.
+  EXPECT_EQ(fs.Count(FsKind::kSync), syncs_before + 1);
+}
+
+// Every file a durable server leaves behind — segments, checkpoint
+// files, manifests — was created through its file system, across
+// background delta checkpoints, segment retention and a restart.
+TEST(FileSystemSeam, EveryFileInTheWalDirectoryWasCreatedThroughIt) {
+  TempDir dir("fs-all-files");
+  testutil::RecordingFileSystem fs;
+  ServerOptions options = DurableOptions(dir.str(), 4);
+  options.deterministic_shards = false;
+  options.wal_fsync = FsyncPolicy::kBatch;
+  options.wal_segment_bytes = 512;
+  options.wal_retain_segments = 0;
+  options.checkpoint_every_ops = 4;
+  options.background_checkpoints = true;
+  options.file_system = &fs;
+  uint64_t pruned = 0;
+  for (int run = 0; run < 2; ++run) {
+    auto server = run == 0 ? testutil::MakeEdtcServer(options)
+                           : std::make_unique<ProjectServer>("edtc", options);
+    for (int i = 0; i < 12; ++i) {
+      std::string block = "B";
+      block += std::to_string(run * 100 + i);
+      server->CheckIn(block, "HDL_model", "module m;", "alice");
+      server->AdvanceClock(1);
+    }
+    server->WalCheckpoint();
+    pruned += server->GetWalStatus().segments_pruned;
+  }
+  EXPECT_GT(pruned, 0u);
+
+  std::set<std::string> created;
+  bool saw_delta = false;
+  for (const auto& op : fs.ops()) {
+    if (op.kind == FsKind::kCreate || op.kind == FsKind::kRename) {
+      created.insert(op.path);
+      saw_delta = saw_delta ||
+                  std::filesystem::path(op.path).extension() == ".dbd";
+    }
+  }
+  EXPECT_TRUE(saw_delta);
+  size_t files = 0;
+  for (const auto& entry : std::filesystem::directory_iterator(dir.path())) {
+    ++files;
+    EXPECT_EQ(created.count(entry.path().string()), 1u) << entry.path();
+  }
+  EXPECT_GT(files, 0u);
 }
 
 }  // namespace

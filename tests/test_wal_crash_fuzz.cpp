@@ -6,7 +6,7 @@
 //
 // Each seeded iteration builds a random workload (check-ins, derive
 // links, event posts, clock advances, explicit checkpoints) and runs
-// it to completion on a durable server whose WalAppendObserver records
+// it to completion on a durable server whose recording file system logs
 // every durable extent (path, end offset) in global order — the exact
 // byte ranges a kill -9 would have preserved at each instant. The
 // harness then picks a random extent and a random byte offset *within*
@@ -27,7 +27,6 @@
 #include <algorithm>
 #include <filesystem>
 #include <map>
-#include <mutex>
 #include <string>
 #include <utility>
 #include <vector>
@@ -39,6 +38,7 @@
 #include "events/wal.hpp"
 #include "metadb/persistence.hpp"
 #include "metadb/recovery.hpp"
+#include "test_util.hpp"
 
 namespace damocles {
 namespace {
@@ -358,34 +358,33 @@ Fingerprint Capture(ProjectServer& server) {
   return fp;
 }
 
-/// Thread-safe recording of every durable extent, in global order.
-class AppendTrace final : public events::WalAppendObserver {
- public:
-  struct Extent {
-    std::string path;
-    uint64_t end = 0;
-  };
+using AppendTrace = testutil::RecordingFileSystem;
 
-  void OnDurableExtent(const std::string& path, uint64_t end) override {
-    std::lock_guard<std::mutex> lock(mutex_);
-    extents_.push_back(Extent{path, end});
-  }
-
-  std::vector<Extent> Snapshot() const {
-    std::lock_guard<std::mutex> lock(mutex_);
-    return extents_;
-  }
-
- private:
-  mutable std::mutex mutex_;
-  std::vector<Extent> extents_;
+/// Bytes [0, end) of `path` reached the OS.
+struct Extent {
+  std::string path;
+  uint64_t end = 0;
 };
+
+/// Every durable extent the traced run produced, in global order: each
+/// append extends its file, and a rename makes the target's whole
+/// content appear at once.
+std::vector<Extent> DurableExtents(const AppendTrace& trace) {
+  std::vector<Extent> extents;
+  for (const AppendTrace::Op& op : trace.ops()) {
+    if (op.kind == AppendTrace::Kind::kAppend ||
+        op.kind == AppendTrace::Kind::kRename) {
+      extents.push_back(Extent{op.path, op.size});
+    }
+  }
+  return extents;
+}
 
 /// Rewinds `dir` to the kill point: every byte durable before the cut
 /// extent survives; the cut extent itself survives only up to
 /// `cut_bytes` (possibly mid-record); everything later is gone.
 void ApplyCut(const std::filesystem::path& dir,
-              const std::vector<AppendTrace::Extent>& extents,
+              const std::vector<Extent>& extents,
               size_t cut_index, uint64_t cut_bytes) {
   std::map<std::string, uint64_t> survive;
   for (size_t i = 0; i < cut_index; ++i) {
@@ -416,7 +415,7 @@ ServerOptions MakeOptions(uint64_t seed, const std::string& wal_dir,
   const FsyncPolicy policies[] = {FsyncPolicy::kNone, FsyncPolicy::kBatch,
                                   FsyncPolicy::kEveryRecord};
   options.wal_fsync = policies[rng.UniformInt(0, 2)];
-  options.wal_observer = trace;
+  options.file_system = trace;
   if (seed % 2 == 1) {
     options.num_shards = 4;
     options.deterministic_shards = (seed % 4 == 1);
@@ -444,7 +443,7 @@ void RunSeed(uint64_t seed) {
     expected = Capture(*server);
   }
 
-  const std::vector<AppendTrace::Extent> extents = trace.Snapshot();
+  const std::vector<Extent> extents = DurableExtents(trace);
   ASSERT_FALSE(extents.empty()) << "seed " << seed;
 
   // The kill point: a random durable extent, cut at a random byte
@@ -570,7 +569,7 @@ uint64_t RunRetentionSeed(uint64_t seed) {
     EXPECT_LE(DirBytes(dir), 256u * 1024u) << "seed " << seed;
   }
 
-  const std::vector<AppendTrace::Extent> extents = trace.Snapshot();
+  const std::vector<Extent> extents = DurableExtents(trace);
   if (extents.empty()) {
     std::filesystem::remove_all(dir);
     return segments_pruned;
